@@ -4,11 +4,10 @@ Two questions an operator asks before turning on
 ``PrivateIye(persistence=...)``:
 
 * **poses/sec** — what does the write-ahead append cost per pose,
-  backend by backend, against the in-memory baseline?  The fsynced
-  JSONL WAL and ``synchronous=FULL`` sqlite pay one disk barrier per
-  pose (the price of surviving power loss); their relaxed settings
-  (``fsync=False``, ``synchronous=NORMAL``) show the share of the tax
-  that is the barrier rather than the serialization.
+  against the in-memory baseline?  The fsynced JSONL WAL pays one disk
+  barrier per pose (the price of surviving power loss); its relaxed
+  setting (``fsync=False``) shows the share of the tax that is the
+  barrier rather than the serialization.
 * **recovery time vs log length** — how long is the restart window?
   ``recover()`` replays snapshot + log and re-verifies the journal's
   sha256 chain, so the cost is linear in the un-compacted tail.
@@ -20,7 +19,6 @@ Representative numbers (this container, 20-row source, best of 3)::
            none         1050/s           -
          memory          990/s       1.00x
     wal-nofsync          940/s       0.95x
-     sqlite-....          610/s       0.62x
             wal          180/s       0.18x
 
 Usage::
@@ -28,7 +26,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_persistence.py           # full
     PYTHONPATH=src python benchmarks/bench_persistence.py --smoke   # CI
 
-``--smoke`` runs one small cell per backend and exits non-zero unless
+``--smoke`` runs one small cell per setting and exits non-zero unless
 recovery reproduces the live run's cumulative disclosure exactly and
 the journal chain verifies — the correctness gate; throughput is
 reported but never gated (CI disks are too noisy).
@@ -45,7 +43,6 @@ from pathlib import Path
 
 from repro import PrivateIye
 from repro.persistence import PersistenceSink
-from repro.persistence.sqlite import SqliteBackend
 from repro.persistence.wal import WalBackend
 from repro.relational import Table
 
@@ -73,11 +70,6 @@ def make_sink(backend_name, directory):
     if backend_name == "wal-nofsync":
         return PersistenceSink(WalBackend(root / "wal-nofsync",
                                           fsync=False))
-    if backend_name == "sqlite-full":
-        return PersistenceSink(SqliteBackend(root / "full.sqlite"))
-    if backend_name == "sqlite-normal":
-        return PersistenceSink(SqliteBackend(root / "normal.sqlite",
-                                             synchronous="NORMAL"))
     raise ValueError(f"unknown backend {backend_name!r}")
 
 
@@ -115,8 +107,8 @@ def run_throughput_cell(backend_name, poses, repeats):
     }
 
 
-def run_recovery_cell(backend_name, poses, repeats, snapshot_every=None):
-    """Recovery wall-clock and correctness for one log length.
+def run_recovery_cell(poses, repeats, snapshot_every=None):
+    """WAL recovery wall-clock and correctness for one log length.
 
     Builds a deployment, poses ``poses`` times, simulates the crash
     (close, discard), rebuilds, and times ``recover()``.  Returns the
@@ -127,16 +119,10 @@ def run_recovery_cell(backend_name, poses, repeats, snapshot_every=None):
     verdicts = []
     for _ in range(repeats):
         with tempfile.TemporaryDirectory() as scratch:
-            if backend_name == "wal":
-                make = lambda: PersistenceSink(
-                    WalBackend(Path(scratch) / "wal"),
-                    snapshot_every=snapshot_every,
-                )
-            else:
-                make = lambda: PersistenceSink(
-                    SqliteBackend(Path(scratch) / "store.sqlite"),
-                    snapshot_every=snapshot_every,
-                )
+            make = lambda: PersistenceSink(
+                WalBackend(Path(scratch) / "wal"),
+                snapshot_every=snapshot_every,
+            )
             system = build(make())
             for _ in range(poses):
                 system.query(AGGREGATE, requester=REQUESTER)
@@ -157,7 +143,7 @@ def run_recovery_cell(backend_name, poses, repeats, snapshot_every=None):
             )
             rebuilt.persistence.close()
     return {
-        "backend": backend_name,
+        "backend": "wal",
         "poses": poses,
         "snapshot_every": snapshot_every,
         "recovery_ms": best * 1000.0,
@@ -191,18 +177,16 @@ def print_recovery(cells):
 
 
 #: Backends in the throughput sweep, baseline first.
-THROUGHPUT_BACKENDS = ("none", "memory", "wal-nofsync", "wal",
-                       "sqlite-normal", "sqlite-full")
+THROUGHPUT_BACKENDS = ("none", "memory", "wal-nofsync", "wal")
 
 
 def collect_results(repeats=3):
     """The acceptance cells as a JSON-serializable dict (for run_all)."""
     throughput = [run_throughput_cell(name, poses=20, repeats=repeats)
                   for name in THROUGHPUT_BACKENDS]
-    recovery = [run_recovery_cell(name, poses, repeats=repeats)
-                for name in ("wal", "sqlite")
+    recovery = [run_recovery_cell(poses, repeats=repeats)
                 for poses in (20, 60)]
-    recovery.append(run_recovery_cell("wal", 60, repeats=repeats,
+    recovery.append(run_recovery_cell(60, repeats=repeats,
                                       snapshot_every=16))
     return {"throughput": throughput, "recovery": recovery}
 
@@ -220,8 +204,7 @@ def main(argv=None):
     if args.smoke:
         throughput = [run_throughput_cell(name, poses=5, repeats=1)
                       for name in THROUGHPUT_BACKENDS]
-        recovery = [run_recovery_cell(name, poses=10, repeats=1)
-                    for name in ("wal", "sqlite")]
+        recovery = [run_recovery_cell(poses=10, repeats=1)]
         if args.json:
             print(json.dumps({"throughput": throughput,
                               "recovery": recovery}, indent=2))
@@ -234,7 +217,7 @@ def main(argv=None):
             print(f"SMOKE FAIL: recovery diverged on {broken}",
                   file=sys.stderr)
             return 1
-        print("SMOKE OK: both backends recovered the exact accounting")
+        print("SMOKE OK: the WAL recovered the exact accounting")
         return 0
 
     results = collect_results(repeats=args.repeats)

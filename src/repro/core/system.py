@@ -376,9 +376,8 @@ class PrivateIye:
     def persistence(self):
         """The write-ahead persistence sink, or ``None`` when disabled.
 
-        Enable with ``PrivateIye(persistence=...)`` — a path (``*.db``
-        / ``*.sqlite`` opens the sqlite backend, any other string a
-        JSONL WAL directory), a backend, or a shared
+        Enable with ``PrivateIye(persistence=...)`` — a path (a JSONL
+        WAL directory), a backend, or a shared
         :class:`~repro.persistence.PersistenceSink`.  See
         ``docs/persistence.md`` for the durability model and runbook.
         """

@@ -26,14 +26,12 @@ The shared tiers:
   aggregate flag, exact response documents); every query gets fresh
   row dicts so results stay independently mutable.
 
-Sources are duck-typed: a test double whose ``answer`` does not accept
-``shared=`` simply gets called the plain way (checked once per source
-per batch via :func:`inspect.signature`).
+``shared=`` is part of the source ``answer`` interface: every source
+(and every test double standing in for one) accepts it, and a plain
+``pose()`` passes ``shared=None``.
 """
 
 from __future__ import annotations
-
-import inspect
 
 
 class PoseOutcome:
@@ -76,13 +74,13 @@ class BatchContext:
     The batch also owns one :class:`~repro.telemetry.obs.context.
     TraceContext` (``trace``): every pose in the batch opens its root
     span under the same trace id, so a 256-query ``pose_many`` reads as
-    one trace across the dispatcher's worker threads and the WAL writer
-    — sharing an *identifier* is not sharing state, so the accounting
-    contract above is untouched.
+    one trace across the dispatcher's worker threads and the WAL
+    records — sharing an *identifier* is not sharing state, so the
+    accounting contract above is untouched.
     """
 
     __slots__ = ("static_shared", "integrate_memo", "retained",
-                 "_source_shared", "_supports_shared", "trace")
+                 "_source_shared", "trace")
 
     def __init__(self, trace=None):
         self.trace = trace
@@ -96,23 +94,7 @@ class BatchContext:
         # pinned here so an id can never be recycled mid-batch.
         self.retained = []
         self._source_shared = {}
-        self._supports_shared = {}
 
-    def shared_for(self, name, source):
-        """The per-source sharing dict, or ``None`` if unsupported.
-
-        ``None`` means ``source.answer`` does not take ``shared=`` (a
-        duck-typed double) and must be called the plain way.
-        """
-        try:
-            supports = self._supports_shared[name]
-        except KeyError:
-            answer = getattr(source, "answer", None)
-            try:
-                supports = "shared" in inspect.signature(answer).parameters
-            except (TypeError, ValueError):
-                supports = False
-            self._supports_shared[name] = supports
-        if not supports:
-            return None
+    def shared_for(self, name):
+        """The per-source sharing dict handed to ``answer(shared=...)``."""
         return self._source_shared.setdefault(name, {})

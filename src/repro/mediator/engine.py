@@ -272,7 +272,7 @@ class MediationEngine:
         effects = {}
         # Batched poses share the batch's trace id; a lone pose mints
         # its own (inside Span._push).  The id rides the span stack to
-        # fan-out workers and the WAL record to the writer thread.
+        # fan-out workers and is stamped into the WAL record.
         batch_trace = (batch.trace.trace_id
                        if batch is not None and batch.trace is not None
                        else None)
@@ -590,18 +590,11 @@ class MediationEngine:
             report = NOOP_REPORT
 
         def call(source_name):
-            source = self.sources[source_name]
-            if batch is not None:
-                shared = batch.shared_for(source_name, source)
-                if shared is not None:
-                    return source.answer(
-                        plan.fragments[source_name],
-                        requester=requester, role=role, subjects=subjects,
-                        shared=shared,
-                    )
-            return source.answer(
+            return self.sources[source_name].answer(
                 plan.fragments[source_name],
                 requester=requester, role=role, subjects=subjects,
+                shared=(batch.shared_for(source_name)
+                        if batch is not None else None),
             )
 
         dispatcher = self.dispatcher

@@ -14,10 +14,10 @@ behind a write-ahead log:
   epoch bumps.  Periodically folds the log into a snapshot and
   compacts.
 * backends — :class:`~repro.persistence.wal.WalBackend` (append-only
-  JSONL + snapshot file), :class:`~repro.persistence.sqlite.
-  SqliteBackend` (WAL-mode sqlite), :class:`~repro.persistence.base.
-  MemoryBackend` (tests).  Select via ``PrivateIye(persistence=...)``;
-  the default ``None`` keeps today's in-memory behavior byte for byte.
+  JSONL + snapshot file, the one disk store) and
+  :class:`~repro.persistence.base.MemoryBackend` (tests).  Select via
+  ``PrivateIye(persistence=...)``; the default ``None`` keeps today's
+  in-memory behavior byte for byte.
 * :func:`~repro.persistence.recovery.recover` — replays snapshot + log
   into a freshly built system, re-verifying the journal's sha256 chain
   across the restart boundary.
@@ -36,9 +36,7 @@ import threading
 from repro.errors import PersistenceError
 from repro.persistence.base import MemoryBackend, PersistenceBackend
 from repro.persistence.snapshot import capture_state
-from repro.persistence.sqlite import SqliteBackend
 from repro.persistence.wal import WalBackend
-from repro.persistence.writer import ThreadedWriter
 
 __all__ = [
     "KIND_EPOCH",
@@ -47,8 +45,6 @@ __all__ = [
     "MemoryBackend",
     "PersistenceBackend",
     "PersistenceSink",
-    "SqliteBackend",
-    "ThreadedWriter",
     "WalBackend",
     "resolve_persistence",
 ]
@@ -115,12 +111,6 @@ class PersistenceSink:
             engine.cache.epochs.subscribe(self.record_epoch)
         if engine.observatory is not None:
             engine.observatory.persistence = self
-        adopt = getattr(self.backend, "adopt_telemetry", None)
-        if adopt is not None:
-            # A ThreadedWriter backend traces its appends; binding hands
-            # it the engine's telemetry so its ``persistence.wal.append``
-            # spans join the poses' traces.
-            adopt(engine.telemetry)
 
     # -- recording (all durable before return) -------------------------------
 
@@ -263,10 +253,8 @@ def resolve_persistence(persistence):
     default); ``True`` → a sink over a fresh :class:`MemoryBackend`
     (restart-simulation without disk); a backend → wrapped in a sink; a
     :class:`PersistenceSink` passes through (share one across rebuilds
-    — that *is* the restart story).  A string selects a disk backend by
-    shape: paths ending in ``.sqlite``/``.db`` open a
-    :class:`~repro.persistence.sqlite.SqliteBackend`, anything else is
-    a :class:`~repro.persistence.wal.WalBackend` directory.
+    — that *is* the restart story).  A path string opens a
+    :class:`~repro.persistence.wal.WalBackend` directory.
     """
     if persistence is None or persistence is False:
         return None
@@ -277,8 +265,6 @@ def resolve_persistence(persistence):
     if isinstance(persistence, PersistenceBackend):
         return PersistenceSink(persistence)
     if isinstance(persistence, str):
-        if persistence.endswith((".sqlite", ".db")):
-            return PersistenceSink(SqliteBackend(persistence))
         return PersistenceSink(WalBackend(persistence))
     raise PersistenceError(
         "persistence must be None, a bool, a path, a PersistenceBackend, "

@@ -1,4 +1,4 @@
-"""``python -m repro.persistence`` — store verification and migration."""
+"""``python -m repro.persistence`` — store verification and stats."""
 
 from __future__ import annotations
 

@@ -5,10 +5,10 @@ PersistenceSink` above it decides *what* to write (one record per pose,
 publication, or epoch bump) and *when* to compact; the backend only
 guarantees that an :meth:`~PersistenceBackend.append` that returned has
 reached its medium, and that :meth:`~PersistenceBackend.load` returns
-exactly the accepted records.  Two real implementations ship —
+exactly the accepted records.  One disk implementation ships —
 :class:`~repro.persistence.wal.WalBackend` (append-only JSONL +
-snapshot file) and :class:`~repro.persistence.sqlite.SqliteBackend`
-(WAL-mode sqlite) — plus :class:`MemoryBackend` for tests.
+snapshot file) — plus :class:`MemoryBackend` for tests; the interface
+exists so tests can substitute a fake.
 
 Records are flat JSON-serializable dicts carrying a strictly increasing
 ``seq`` assigned by the sink.  A snapshot is ``(state, through_seq)``:

@@ -1,6 +1,6 @@
 """Operations CLI for persistence stores — ``python -m repro.persistence``.
 
-Three subcommands, all offline (they open the store read-mostly and
+Two subcommands, both offline (they open an existing WAL store and
 never need a running mediator):
 
 * ``verify PATH`` — load snapshot + log, reconstitute the audit-journal
@@ -9,32 +9,32 @@ never need a running mediator):
   post-recovery check.
 * ``stats PATH`` — backend counters (log length, snapshot presence,
   last seq) as JSON.
-* ``migrate SRC DST`` — copy snapshot and log records between backends
-  (e.g. a JSONL WAL directory into a sqlite file), preserving sequence
-  numbers so the destination recovers identically.
 
-``PATH`` selects the backend by shape: ``*.sqlite``/``*.db`` opens the
-sqlite store, anything else is treated as a WAL directory.
+``PATH`` is a WAL directory.  A path that holds no store (a typo, a
+regular file) exits 1 with a JSON error on stderr and creates nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.errors import PersistenceError
 from repro.observatory.journal import verify_records
-from repro.persistence import resolve_persistence
+from repro.persistence import PersistenceSink
 from repro.persistence.recovery import journal_dicts_from
+from repro.persistence.wal import LOG_NAME, SNAPSHOT_NAME, WalBackend
 
 
 def open_sink(path):
-    """Open the store at ``path`` (sqlite file or WAL directory)."""
-    sink = resolve_persistence(str(path))
-    if sink is None:
+    """Open the existing WAL store at ``path``; never creates one."""
+    path = str(path)
+    if not any(os.path.isfile(os.path.join(path, name))
+               for name in (LOG_NAME, SNAPSHOT_NAME)):
         raise PersistenceError(f"no persistence store at {path!r}")
-    return sink
+    return PersistenceSink(WalBackend(path))
 
 
 def verify_store(path):
@@ -58,40 +58,6 @@ def verify_store(path):
         sink.close()
 
 
-def migrate_store(src, dst):
-    """Copy snapshot + log from ``src`` to ``dst``; returns a summary.
-
-    Sequence numbers are preserved verbatim, so ``recover()`` against
-    the destination replays the identical state.  The destination must
-    be empty — migrating onto live records would interleave histories.
-    """
-    source = open_sink(src)
-    destination = open_sink(dst)
-    try:
-        if destination.backend.last_seq() != 0:
-            raise PersistenceError(
-                f"migration destination {dst!r} is not empty "
-                f"(last_seq={destination.backend.last_seq()})"
-            )
-        snapshot, records = source.load()
-        if snapshot is not None:
-            destination.backend.compact(snapshot["state"],
-                                        snapshot["through_seq"])
-        for record in records:
-            destination.backend.append(record)
-        return {
-            "src": str(src),
-            "dst": str(dst),
-            "src_backend": source.backend.name,
-            "dst_backend": destination.backend.name,
-            "snapshot_migrated": snapshot is not None,
-            "records_migrated": len(records),
-        }
-    finally:
-        source.close()
-        destination.close()
-
-
 def stats_store(path):
     """The store's backend stats, plus its last sequence number."""
     sink = open_sink(path)
@@ -105,7 +71,7 @@ def main(argv=None):
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.persistence",
-        description="Inspect, verify, and migrate persistence stores.",
+        description="Inspect and verify persistence stores.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
     verify = commands.add_parser(
@@ -114,11 +80,6 @@ def main(argv=None):
     verify.add_argument("path")
     stats = commands.add_parser("stats", help="backend counters as JSON")
     stats.add_argument("path")
-    migrate = commands.add_parser(
-        "migrate", help="copy snapshot + log between backends"
-    )
-    migrate.add_argument("src")
-    migrate.add_argument("dst")
     arguments = parser.parse_args(argv)
 
     try:
@@ -127,14 +88,9 @@ def main(argv=None):
             # repro-lint: disable=REP008 -- CLI entry point: human output
             print(json.dumps(report, indent=2, sort_keys=True))
             return 0 if report["chain_valid"] else 1
-        if arguments.command == "stats":
-            # repro-lint: disable=REP008 -- CLI entry point: human output
-            print(json.dumps(stats_store(arguments.path), indent=2,
-                             sort_keys=True))
-            return 0
-        report = migrate_store(arguments.src, arguments.dst)
         # repro-lint: disable=REP008 -- CLI entry point: human output
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(stats_store(arguments.path), indent=2,
+                         sort_keys=True))
         return 0
     except PersistenceError as error:
         print(  # repro-lint: disable=REP008 -- CLI error rendering

@@ -74,12 +74,17 @@ class WalBackend(PersistenceBackend):
     def __init__(self, directory, fsync=True):
         self.directory = str(directory)
         self.fsync = fsync
-        os.makedirs(self.directory, exist_ok=True)
         self._log_path = os.path.join(self.directory, LOG_NAME)
         self._snapshot_path = os.path.join(self.directory, SNAPSHOT_NAME)
         self._lock = threading.Lock()
         self._torn_tail_dropped = 0
-        self._handle = open(self._log_path, "a", encoding="utf-8")
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+            self._handle = open(self._log_path, "a", encoding="utf-8")
+        except OSError as error:
+            raise PersistenceError(
+                f"cannot open wal store {self.directory}: {error}"
+            ) from error
 
     def append(self, record):
         """Append one JSONL line; returns after flush+fsync (durable)."""

@@ -8,7 +8,7 @@ without touching the measured path:
   exports);
 * :class:`~repro.telemetry.obs.context.TraceContext` — explicit trace
   capture/restore so one trace id follows a ``pose()`` across executor
-  workers, batch pipelines, and the WAL writer thread;
+  workers and batch pipelines;
 * :class:`~repro.telemetry.obs.slo.SloEngine` — declarative objectives
   with multi-window burn-rate evaluation and ``slo.breach`` events;
 * :class:`~repro.telemetry.obs.recorder.FlightRecorder` — bounded

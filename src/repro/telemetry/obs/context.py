@@ -2,19 +2,19 @@
 
 The tracer's span stack is thread-local by design (PR 1): a span opened
 on the thread that opened its parent nests automatically.  Executor
-fan-out breaks that — the dispatcher's worker threads, ``pose_many``'s
-batch pipeline, and the persistence WAL writer thread all run work that
-*belongs* to a ``mediator.pose`` but starts on a thread with an empty
-stack.  :class:`TraceContext` is the hand-off object: capture it where
+fan-out breaks that — the dispatcher's worker threads and
+``pose_many``'s batch pipeline run work that *belongs* to a
+``mediator.pose`` but starts on a thread with an empty stack.  :class:`TraceContext` is the hand-off object: capture it where
 the trace is ambient, ship it to the other thread (it is a two-field
 value object), and ``activate`` it there so every span the worker opens
 carries the originating trace id.
 
 The context is **serializable by design**: ``to_dict``/``from_dict``
-round-trip through JSON, which is how a trace id rides a WAL record to
-the writer thread today and crosses the future process-pool boundary
-without carrying live ``Span`` references (those stay in-process via
-the optional ``parent`` field).
+round-trip through JSON, so a trace id can cross a process-pool
+boundary without carrying live ``Span`` references (those stay
+in-process via the optional ``parent`` field).  Persisted pose records
+need none of this: the engine stamps the pose's ``trace_id`` into the
+WAL record on the posing thread.
 """
 
 from __future__ import annotations

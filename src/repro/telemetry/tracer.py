@@ -167,7 +167,7 @@ class Tracer:
         if it had been passed to :meth:`span` explicitly.  Contexts nest;
         the previous ambient context is restored on exit.  This is how a
         captured :class:`~repro.telemetry.obs.context.TraceContext` is
-        restored on executor workers and the WAL writer thread.
+        restored on executor workers.
         """
         if trace_id is None:
             trace_id = new_trace_id()

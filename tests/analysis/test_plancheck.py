@@ -230,7 +230,8 @@ class TestRuntimeCheckVerdict:
         class Opaque:
             name = "clinic"
 
-            def answer(self, piql, requester=None, role=None, subjects=()):
+            def answer(self, piql, requester=None, role=None, subjects=(),
+                       shared=None):
                 return None
 
         system = build_system()

@@ -6,16 +6,18 @@ The performance-observatory contract — a single ``pose()`` produces one
 * the ``mediator.pose`` root span (the posing thread);
 * every ``mediator.fanout.attempt`` span, which the concurrent
   dispatcher runs on pool worker threads;
-* the persisted pose record, and from there the
-  ``persistence.wal.append`` span opened on the WAL writer thread
-  (a different thread in a conceptually different process — only the
-  serializable :class:`TraceContext` crosses, never a live span).
+* the persisted pose record, which the posing thread itself appends —
+  the id rides the record, so a WAL line joins its pose's trace
+  without any live span crossing into the store.
 """
 
 import threading
 
+import pytest
+
 from repro import PrivateIye
-from repro.persistence import MemoryBackend, ThreadedWriter
+from repro.errors import ReproError
+from repro.persistence import MemoryBackend
 from repro.relational import Table
 
 POLICIES = """
@@ -72,85 +74,58 @@ def spans_named(roots, name):
 class TestOneTraceIdAcrossThreads:
     def test_pose_fanout_and_wal_share_one_trace_id(self):
         backend = ThreadRecordingBackend()
-        writer = ThreadedWriter(backend)
-        system = build_system(writer)
-        try:
-            result = system.engine.pose(QUERY, requester="epi")
-            assert result.rows
-            finished = system.telemetry.tracer.finished
-            poses = spans_named(finished, "mediator.pose")
-            assert len(poses) == 1
-            trace_id = poses[0].trace_id
-            assert trace_id is not None
+        system = build_system(backend)
+        result = system.engine.pose(QUERY, requester="epi")
+        assert result.rows
+        finished = system.telemetry.tracer.finished
+        poses = spans_named(finished, "mediator.pose")
+        assert len(poses) == 1
+        trace_id = poses[0].trace_id
+        assert trace_id is not None
 
-            # every fan-out attempt (run on dispatcher worker threads)
-            # carries the pose's id — one per source here.
-            attempts = spans_named(finished, "mediator.fanout.attempt")
-            assert len(attempts) == 2
-            assert {span.trace_id for span in attempts} == {trace_id}
+        # every fan-out attempt (run on dispatcher worker threads)
+        # carries the pose's id — one per source here.
+        attempts = spans_named(finished, "mediator.fanout.attempt")
+        assert len(attempts) == 2
+        assert {span.trace_id for span in attempts} == {trace_id}
 
-            # the durable record carries the id across the thread gap...
-            _, records = writer.load()
-            pose_records = [r for r in records if r.get("kind") == "pose"]
-            assert pose_records
-            assert {r["trace_id"] for r in pose_records} == {trace_id}
-
-            # ...and the WAL writer thread (not the posing thread!)
-            # reconstructed a span under the same id from the record.
-            assert set(backend.append_threads) == {"repro-wal-writer"}
-            wal_spans = [
-                span
-                for span in spans_named(finished, "persistence.wal.append")
-                if span.attributes.get("kind") == "pose"
-            ]
-            assert wal_spans
-            assert {span.trace_id for span in wal_spans} == {trace_id}
-            # non-pose records (epoch bumps) mint their own ids instead
-            # of riding an unrelated pose's trace.
-            other = [
-                span
-                for span in spans_named(finished, "persistence.wal.append")
-                if span.attributes.get("kind") != "pose"
-            ]
-            assert all(span.trace_id != trace_id for span in other)
-        finally:
-            writer.close()
+        # the durable record carries the id, and the posing thread is
+        # the only one that ever appended to the store.
+        _, records = backend.load()
+        pose_records = [r for r in records if r.get("kind") == "pose"]
+        assert pose_records
+        assert {r["trace_id"] for r in pose_records} == {trace_id}
+        assert set(backend.append_threads) == {
+            threading.current_thread().name
+        }
 
     def test_two_poses_get_two_trace_ids(self):
         backend = ThreadRecordingBackend()
-        writer = ThreadedWriter(backend)
-        system = build_system(writer)
-        try:
-            system.engine.pose(QUERY, requester="epi")
-            system.engine.pose(QUERY, requester="epi2")
-            finished = system.telemetry.tracer.finished
-            ids = {span.trace_id
-                   for span in spans_named(finished, "mediator.pose")}
-            assert len(ids) == 2
-            _, records = writer.load()
-            record_ids = {r["trace_id"] for r in records
-                          if r.get("kind") == "pose"}
-            assert record_ids == ids
-        finally:
-            writer.close()
+        system = build_system(backend)
+        system.engine.pose(QUERY, requester="epi")
+        system.engine.pose(QUERY, requester="epi2")
+        finished = system.telemetry.tracer.finished
+        ids = {span.trace_id
+               for span in spans_named(finished, "mediator.pose")}
+        assert len(ids) == 2
+        _, records = backend.load()
+        record_ids = {r["trace_id"] for r in records
+                      if r.get("kind") == "pose"}
+        assert record_ids == ids
 
     def test_refused_pose_record_is_traced_too(self):
         backend = ThreadRecordingBackend()
-        writer = ThreadedWriter(backend)
-        system = build_system(writer)
-        try:
-            from repro.errors import ReproError
-
-            try:
-                system.engine.pose(
-                    "SELECT //patient/ssn PURPOSE research", requester="snoop"
-                )
-            except ReproError:
-                pass
-            _, records = writer.load()
-            refused = [r for r in records if r.get("outcome") == "refused"
-                       or r.get("kind") == "refusal"]
-            if refused:  # refusal records are persisted with their trace
-                assert all(r.get("trace_id") for r in refused)
-        finally:
-            writer.close()
+        system = build_system(backend)
+        with pytest.raises(ReproError):
+            system.engine.pose(
+                "SELECT //patient/ssn PURPOSE research", requester="snoop"
+            )
+        poses = spans_named(system.telemetry.tracer.finished,
+                            "mediator.pose")
+        assert len(poses) == 1
+        _, records = backend.load()
+        refused = [r for r in records
+                   if r.get("kind") == "pose" and r.get("status") == "refused"]
+        assert len(refused) == 1
+        assert refused[0]["requester"] == "snoop"
+        assert refused[0]["trace_id"] == poses[0].trace_id

@@ -1,27 +1,21 @@
-"""Backend contract tests: memory, JSONL WAL, and sqlite stores."""
+"""Backend contract tests: memory and JSONL WAL stores."""
 
 import json
-import os
-import sqlite3
 
 import pytest
 
+from repro import PrivateIye
 from repro.errors import PersistenceError
 from repro.persistence import MemoryBackend
-from repro.persistence.sqlite import SqliteBackend
 from repro.persistence.wal import LOG_NAME, SNAPSHOT_NAME, WalBackend
 
 
-@pytest.fixture(params=["memory", "wal", "sqlite"])
+@pytest.fixture(params=["memory", "wal"])
 def backend(request, tmp_path):
     if request.param == "memory":
         yield MemoryBackend()
-    elif request.param == "wal":
-        store = WalBackend(tmp_path / "wal")
-        yield store
-        store.close()
     else:
-        store = SqliteBackend(tmp_path / "store.sqlite")
+        store = WalBackend(tmp_path / "wal")
         yield store
         store.close()
 
@@ -73,18 +67,14 @@ class TestContract:
 class TestReopen:
     """Real restarts: a second handle on the same medium sees everything."""
 
-    @pytest.mark.parametrize("flavor", ["wal", "sqlite"])
+    @pytest.mark.parametrize("flavor", ["wal"])
     def test_reopen_resumes_last_seq(self, tmp_path, flavor):
-        if flavor == "wal":
-            make = lambda: WalBackend(tmp_path / "wal")
-        else:
-            make = lambda: SqliteBackend(tmp_path / "store.sqlite")
-        first = make()
+        first = WalBackend(tmp_path / flavor)
         append_n(first, 4)
         first.compact({"version": 1}, 2)
         first.close()
 
-        second = make()
+        second = WalBackend(tmp_path / flavor)
         try:
             assert second.last_seq() == 4
             snapshot, records = second.load()
@@ -161,46 +151,13 @@ class TestWalCrashAnatomy:
             reopened.close()
 
 
-class TestSqliteSpecifics:
-    def test_wal_journal_mode_active(self, tmp_path):
-        store = SqliteBackend(tmp_path / "store.sqlite")
-        try:
-            assert store.stats()["journal_mode"] == "wal"
-        finally:
-            store.close()
-
-    def test_duplicate_seq_rejected_not_silently_overwritten(self, tmp_path):
-        store = SqliteBackend(tmp_path / "store.sqlite")
-        try:
-            store.append({"seq": 1, "kind": "pose"})
-            with pytest.raises(PersistenceError, match="append failed"):
-                store.append({"seq": 1, "kind": "pose"})
-        finally:
-            store.close()
-
-    def test_damaged_committed_row_is_fatal(self, tmp_path):
-        path = tmp_path / "store.sqlite"
-        store = SqliteBackend(path)
-        store.append({"seq": 1, "kind": "pose"})
-        store.close()
-        raw = sqlite3.connect(str(path))
-        raw.execute("UPDATE log SET record = '{broken' WHERE seq = 1")
-        raw.commit()
-        raw.close()
-        reopened = SqliteBackend(path)
-        try:
-            with pytest.raises(PersistenceError, match="corrupt sqlite"):
-                reopened.load()
-        finally:
-            reopened.close()
-
-    def test_store_is_one_inspectable_file(self, tmp_path):
-        path = tmp_path / "store.sqlite"
-        store = SqliteBackend(path)
-        store.append({"seq": 1, "kind": "pose"})
-        store.close()
-        assert os.path.exists(path)
-        raw = sqlite3.connect(str(path))
-        (count,) = raw.execute("SELECT COUNT(*) FROM log").fetchone()
-        raw.close()
-        assert count == 1
+class TestWalOpen:
+    def test_path_naming_a_regular_file_is_a_persistence_error(
+            self, tmp_path):
+        leftover = tmp_path / "store.sqlite"
+        leftover.write_bytes(b"SQLite format 3\x00")
+        with pytest.raises(PersistenceError, match="store.sqlite"):
+            WalBackend(leftover)
+        with pytest.raises(PersistenceError, match="store.sqlite"):
+            PrivateIye(persistence=str(leftover))
+        assert leftover.read_bytes() == b"SQLite format 3\x00"

@@ -1,11 +1,11 @@
-"""The ops CLI: ``python -m repro.persistence verify|stats|migrate``."""
+"""The ops CLI: ``python -m repro.persistence verify|stats``."""
 
 import json
 
 import pytest
 
 from repro import PrivateIye
-from repro.persistence.cli import main, migrate_store, verify_store
+from repro.persistence.cli import main
 from repro.persistence.wal import LOG_NAME
 from repro.relational import Table
 
@@ -56,72 +56,38 @@ class TestVerify:
 
     def test_verify_missing_store_is_an_error_not_a_traceback(
             self, tmp_path, capsys):
-        missing = str(tmp_path / "absent.sqlite")
-        code = main(["verify", missing])
+        missing = tmp_path / "typo-store"
+        code = main(["verify", str(missing)])
         captured = capsys.readouterr()
-        # an empty store verifies trivially (0 records) — the chain of
-        # nothing holds; corrupt stores are the error path
-        assert code == 0
-        assert json.loads(captured.out)["journal_records"] == 0
+        # a mistyped path must fail the runbook check, not verify the
+        # empty chain of a store it just created
+        assert code == 1
+        assert captured.out == ""
+        assert "no persistence store" in json.loads(captured.err)["error"]
+        assert not missing.exists()
+
+    def test_verify_rejects_a_regular_file(self, tmp_path, capsys):
+        leftover = tmp_path / "store.sqlite"
+        leftover.write_bytes(b"SQLite format 3\x00")
+        assert main(["verify", str(leftover)]) == 1
+        assert "error" in json.loads(capsys.readouterr().err)
+        assert leftover.read_bytes() == b"SQLite format 3\x00"
 
 
 class TestStats:
     def test_stats_shape(self, tmp_path, capsys):
-        path = str(tmp_path / "store.sqlite")
+        path = str(tmp_path / "wal-store")
         populate(path)
         assert main(["stats", path]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["backend"] == "sqlite"
+        assert info["backend"] == "wal"
         assert info["last_seq"] >= 3
 
-
-class TestMigrate:
-    def test_wal_to_sqlite_preserves_recovery(self, tmp_path, capsys):
-        src = str(tmp_path / "wal-store")
-        dst = str(tmp_path / "migrated.sqlite")
-        populate(src)
-        before = verify_store(src)
-
-        assert main(["migrate", src, dst]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["src_backend"] == "wal"
-        assert summary["dst_backend"] == "sqlite"
-        assert summary["records_migrated"] == before["log_records"]
-
-        after = verify_store(dst)
-        assert after["chain_valid"] is True
-        assert after["journal_records"] == before["journal_records"]
-
-        # the migrated store recovers the identical accounting
-        system = PrivateIye(telemetry=True, observatory=True,
-                            persistence=dst)
-        system.load_policies(POLICIES, view_source={"s1_private": "s1"})
-        rows = [{"hba1c": 60.0 + i} for i in range(20)]
-        system.add_relational_source(
-            "s1", Table.from_dicts("patients", rows)
-        )
-        report = system.recover()
-        assert report.journal_records == before["journal_records"]
-        assert "epi" in report.cumulative_loss
-        system.persistence.close()
-
-    def test_migrate_refuses_a_non_empty_destination(self, tmp_path, capsys):
-        src = str(tmp_path / "wal-store")
-        dst = str(tmp_path / "occupied.sqlite")
-        populate(src)
-        populate(dst, poses=1)
-        assert main(["migrate", src, dst]) == 1
-        captured = capsys.readouterr()
-        assert "not empty" in json.loads(captured.err)["error"]
-
-    def test_migrate_via_functions_round_trips_snapshot(self, tmp_path):
-        src = str(tmp_path / "wal-store")
-        dst = str(tmp_path / "migrated.sqlite")
-        system = populate(src, poses=2)
-        del system
-        summary = migrate_store(src, dst)
-        assert summary["snapshot_migrated"] is False  # nothing compacted
-        assert verify_store(dst)["chain_valid"] is True
+    def test_stats_missing_store_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "typo-store"
+        assert main(["stats", str(missing)]) == 1
+        assert "error" in json.loads(capsys.readouterr().err)
+        assert not missing.exists()
 
 
 class TestArgparse:

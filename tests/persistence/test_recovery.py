@@ -1,4 +1,4 @@
-"""Crash recovery: privacy state survives a restart, on both disk backends.
+"""Crash recovery: privacy state survives a restart of the WAL store.
 
 The scenarios the ISSUE pins:
 
@@ -24,7 +24,6 @@ from repro import PrivateIye
 from repro.data import FIGURE1
 from repro.errors import AuditRefusal, PersistenceError, PrivacyViolation
 from repro.persistence import MemoryBackend, PersistenceSink
-from repro.persistence.sqlite import SqliteBackend
 from repro.persistence.wal import LOG_NAME, WalBackend
 from repro.relational import Table
 
@@ -103,11 +102,9 @@ def build_system(persistence, **kwargs):
     return system
 
 
-@pytest.fixture(params=["wal", "sqlite"])
+@pytest.fixture(params=["wal"])
 def store(request, tmp_path):
-    """A persistence target path, parametrized over both disk backends."""
-    if request.param == "sqlite":
-        return str(tmp_path / "store.sqlite")
+    """A persistence target path: a WAL store directory."""
     return str(tmp_path / "wal-store")
 
 
@@ -177,18 +174,15 @@ class TestCleanRestart:
         system.persistence.close()
         _, report = restart(store)
         document = json.loads(json.dumps(report.to_dict()))
-        assert document["backend"] in ("wal", "sqlite")
+        assert document["backend"] == "wal"
         assert document["chain_valid"] is True
         assert "epi" in document["requesters"]
 
 
 class TestCrashWindow:
     def test_crashed_pose_is_charged_but_unreleased(self, store, tmp_path):
-        if store.endswith(".sqlite"):
-            backend = SqliteBackend(store)
-        else:
-            backend = WalBackend(store)
-        sink = PersistenceSink(backend, crash_hook=crash_on_pose(2))
+        sink = PersistenceSink(WalBackend(store),
+                               crash_hook=crash_on_pose(2))
         system = build_system(sink)
         system.query(AGGREGATE, requester="epi")
         with pytest.raises(SimulatedCrash):
@@ -322,11 +316,7 @@ class TestFigure1AcrossRestart:
 class TestSnapshotBoundary:
     def test_journal_chain_verifies_across_the_snapshot(self, store):
         """Satellite: chain head folded into the snapshot, tail live."""
-        if store.endswith(".sqlite"):
-            backend = SqliteBackend(store)
-        else:
-            backend = WalBackend(store)
-        sink = PersistenceSink(backend, snapshot_every=None)
+        sink = PersistenceSink(WalBackend(store), snapshot_every=None)
         system = build_system(sink)
         system.query(AGGREGATE, requester="epi")
         system.query(AGGREGATE, requester="epi")
@@ -350,9 +340,7 @@ class TestSnapshotBoundary:
         assert journal.cumulative_loss("epi") == pytest.approx(expected)
 
     def test_auto_compaction_round_trips_under_load(self, store):
-        sink = (PersistenceSink(SqliteBackend(store), snapshot_every=5)
-                if store.endswith(".sqlite")
-                else PersistenceSink(WalBackend(store), snapshot_every=5))
+        sink = PersistenceSink(WalBackend(store), snapshot_every=5)
         system = build_system(sink)
         for _ in range(8):
             system.query(AGGREGATE, requester="epi")

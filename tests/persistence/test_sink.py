@@ -11,7 +11,6 @@ from repro.persistence import (
     PersistenceSink,
     resolve_persistence,
 )
-from repro.persistence.sqlite import SqliteBackend
 from repro.persistence.wal import WalBackend
 
 
@@ -133,17 +132,15 @@ class TestResolution:
         assert isinstance(sink.backend, MemoryBackend)
 
     def test_path_shapes_select_backends(self, tmp_path):
-        sqlite_sink = resolve_persistence(str(tmp_path / "s.sqlite"))
-        db_sink = resolve_persistence(str(tmp_path / "s.db"))
-        wal_sink = resolve_persistence(str(tmp_path / "wal-dir"))
+        # every path string is a WAL directory, whatever its suffix
+        sinks = [resolve_persistence(str(tmp_path / name))
+                 for name in ("s.sqlite", "s.db", "wal-dir")]
         try:
-            assert isinstance(sqlite_sink.backend, SqliteBackend)
-            assert isinstance(db_sink.backend, SqliteBackend)
-            assert isinstance(wal_sink.backend, WalBackend)
+            for sink in sinks:
+                assert isinstance(sink.backend, WalBackend)
         finally:
-            sqlite_sink.close()
-            db_sink.close()
-            wal_sink.close()
+            for sink in sinks:
+                sink.close()
 
     def test_backend_wrapped_and_sink_passes_through(self):
         backend = MemoryBackend()

@@ -3,8 +3,8 @@
 The cross-context propagation contract: every root span mints (or
 inherits) a ``trace_id``, children share their parent's, and a
 :class:`TraceContext` captured on one thread re-parents spans opened on
-another — the mechanism the dispatcher, batch pipeline, and WAL writer
-use to keep one pose's work under one id across threads.
+another — the mechanism the dispatcher and batch pipeline use to keep
+one pose's work under one id across threads.
 """
 
 import threading
