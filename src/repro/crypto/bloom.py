@@ -8,10 +8,30 @@ exchanging plaintext identifiers.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from repro.errors import CryptoError
 from repro.crypto.keyed_hash import keyed_hash_int
+
+
+# functools rather than repro.cache: the crypto layer sits below the cache
+# layer, and a mask depends on nothing but its arguments — no epoch can
+# invalidate it.  ``typed`` keeps ``1``, ``True`` and ``1.0`` apart: they
+# hash differently, and a float is rejected.  Record linkage re-encodes
+# the same ~1.5k field-tagged q-grams on every pose; 8192 entries hold
+# them all.
+@functools.lru_cache(maxsize=8192, typed=True)
+def _bloom_mask(secret, size, num_hashes, item):
+    """The bits ``item`` sets in a ``(size, num_hashes, secret)`` filter.
+
+    Bit ``keyed_hash_int(f"{secret}:{i}", item) % size`` for every hash
+    function ``i`` — the Schnell construction, as one int mask.
+    """
+    mask = 0
+    for i in range(num_hashes):
+        mask |= 1 << (keyed_hash_int(f"{secret}:{i}", item) % size)
+    return mask
 
 
 class BloomFilter:
@@ -32,14 +52,15 @@ class BloomFilter:
         self.secret = secret
         self.bits = 0  # an int used as a bit set
 
-    def _positions(self, item):
-        for i in range(self.num_hashes):
-            yield keyed_hash_int(f"{self.secret}:{i}", item) % self.size
+    def _mask(self, item):
+        try:
+            return _bloom_mask(self.secret, self.size, self.num_hashes, item)
+        except TypeError:  # unhashable, so not str, bytes or int either
+            raise CryptoError("item must be str, bytes, or int") from None
 
     def add(self, item):
         """Insert ``item``."""
-        for position in self._positions(item):
-            self.bits |= 1 << position
+        self.bits |= self._mask(item)
 
     def add_all(self, items):
         """Insert every item of ``items``."""
@@ -47,7 +68,8 @@ class BloomFilter:
             self.add(item)
 
     def __contains__(self, item):
-        return all(self.bits >> p & 1 for p in self._positions(item))
+        mask = self._mask(item)
+        return self.bits & mask == mask
 
     def count_bits(self):
         """Number of set bits."""

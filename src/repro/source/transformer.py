@@ -32,14 +32,14 @@ class PathMapping:
         self.table = table
         self.entity_names = set(entity_names)
         self.matcher = matcher or LoosePathMatcher()
+        self._vocabulary = frozenset(table.schema.column_names())
 
     def resolve_column(self, path):
         """The table column a path refers to, or raise PathError."""
-        vocabulary = set(self.table.schema.column_names())
         leaf = path.steps[-1].name
         if leaf == "*":
             raise PathError("cannot map wildcard leaf to a single column")
-        match, score = self.matcher.best_match(leaf, vocabulary)
+        match, score = self.matcher.best_match(leaf, self._vocabulary)
         if match is None:
             raise PathError(
                 f"no column of table {self.table.name!r} matches path leaf "
@@ -89,7 +89,7 @@ class QueryTransformer:
         columns = [column_for(path) for path in piql.projections]
         aggregates = [
             Aggregate(
-                item.func if item.func != "stddev" else "stddev",
+                item.func,
                 "*" if item.path is None else column_for(item.path),
                 item.alias,
             )

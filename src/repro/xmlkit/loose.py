@@ -14,6 +14,8 @@ privacy-preserving schema matcher.
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import PathError
 from repro.xmlkit.path import PathExpr, Step, parse_path
 
@@ -64,7 +66,10 @@ def name_tokens(name):
 
 def trigram_dice(a, b):
     """Dice coefficient over character trigrams of two normalized names."""
-    ta, tb = _trigrams(a), _trigrams(b)
+    return _dice(a, b, _trigrams(a), _trigrams(b))
+
+
+def _dice(a, b, ta, tb):
     if not ta and not tb:
         return 1.0 if a == b else 0.0
     if not ta or not tb:
@@ -76,6 +81,17 @@ def trigram_dice(a, b):
 def _trigrams(text):
     padded = f"##{text}#"
     return {padded[i:i + 3] for i in range(len(padded) - 2)}
+
+
+# functools rather than repro.cache: a name's features depend on nothing
+# but the name — no epoch can invalidate them.  Every pose scores the same
+# deployment vocabularies again, and those hold far fewer than 4096 names.
+@functools.lru_cache(maxsize=4096)
+def _name_features(name):
+    """``(normalized, tokens, trigrams of normalized)`` for ``name``."""
+    normalized = normalize_name(name)
+    return (normalized, frozenset(name_tokens(name)),
+            frozenset(_trigrams(normalized)))
 
 
 class SynonymTable:
@@ -101,7 +117,7 @@ class SynonymTable:
 
     def are_synonyms(self, a, b):
         """True when the two (raw) names belong to one synonym group."""
-        na, nb = normalize_name(a), normalize_name(b)
+        na, nb = _name_features(a)[0], _name_features(b)[0]
         if na == nb:
             return True
         return nb in self._groups.get(na, ())
@@ -127,12 +143,14 @@ class LoosePathMatcher:
         overlap, which rewards ``dateOfBirth`` vs ``birth_date`` style
         rearrangements.
         """
-        if normalize_name(requested) == normalize_name(candidate):
+        na, tokens_a, grams_a = _name_features(requested)
+        nb, tokens_b, grams_b = _name_features(candidate)
+        if na == nb:
             return 1.0
+        # Asked live, never cached: the synonym table is mutable.
         if self.synonyms.are_synonyms(requested, candidate):
             return 1.0
-        dice = trigram_dice(normalize_name(requested), normalize_name(candidate))
-        tokens_a, tokens_b = set(name_tokens(requested)), set(name_tokens(candidate))
+        dice = _dice(na, nb, grams_a, grams_b)
         if tokens_a and tokens_b:
             jaccard = len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
         else:

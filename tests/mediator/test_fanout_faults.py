@@ -7,6 +7,8 @@ errors, hangs, refusals, and circuit-breaker lifecycles.
 """
 
 import itertools
+import threading
+import time
 
 import pytest
 
@@ -357,3 +359,111 @@ class TestExplainWallClock:
         counters = system.metrics_snapshot()["counters"]
         assert counters["mediator.fanout.retries"] == 1
         assert counters["mediator.fanout.transients"] == 1
+
+
+
+def _join_all(threads, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    return [t for t in threads if t.is_alive()]
+
+
+class TestWorkerThreads:
+    """Each dispatch's workers, including abandoned ones, drain away."""
+
+    @staticmethod
+    def _recording_call(workers, hang=None, release=None):
+        def call(name):
+            workers.add(threading.current_thread())
+            if name == hang:
+                release.wait(5.0)
+            return name
+        return call
+
+    def test_many_concurrent_dispatches_leave_no_threads_behind(self):
+        dispatcher = FanoutDispatcher(DispatchPolicy())
+        workers = set()
+        call = self._recording_call(workers)
+        names = [f"s{i}" for i in range(8)]
+        results = []
+
+        def caller():
+            for _ in range(25):
+                results.append(dispatcher.dispatch(names, call))
+
+        callers = [threading.Thread(target=caller) for _ in range(8)]
+        for thread in callers:
+            thread.start()
+        assert _join_all(callers, timeout=30.0) == []
+        assert len(results) == 200
+        assert all(sorted(r.responses) == names for r in results)
+        assert all(t.name.startswith("repro-fanout") for t in workers)
+        assert _join_all(list(workers)) == []
+
+    def test_queued_abandoned_attempt_never_runs(self):
+        release = threading.Event()
+        calls = {"hang": 0, "b": 0}
+        workers = set()
+
+        def call(name):
+            workers.add(threading.current_thread())
+            calls[name] += 1
+            if name == "hang":
+                release.wait(5.0)
+            return name
+
+        dispatcher = FanoutDispatcher(DispatchPolicy(
+            max_workers=1, timeout_s=0.05, retries=1, backoff_base_s=0.001,
+            partial="best_effort",
+        ))
+        try:
+            result = dispatcher.dispatch(["hang", "b"], call)
+        finally:
+            release.set()
+        # The single worker runs the hung attempt; every other attempt
+        # waited in the queue past its deadline.
+        assert sorted(result.unavailable) == ["b", "hang"]
+        assert result.outcomes["b"].faults == [FAULT_DEADLINE] * 2
+        # Once the worker has drained it has run whatever was left queued.
+        assert len(workers) == 1
+        assert _join_all(list(workers)) == []
+        assert calls == {"hang": 1, "b": 0}
+
+    def test_deadlines_preempt_a_hung_source_on_every_dispatch(self):
+        release = threading.Event()
+        workers = set()
+        call = self._recording_call(workers, hang="hang", release=release)
+        dispatcher = FanoutDispatcher(DispatchPolicy(
+            timeout_s=0.05, retries=0, partial="best_effort",
+        ))
+        try:
+            for _ in range(3):
+                started = time.monotonic()
+                result = dispatcher.dispatch(["a", "hang", "b"], call)
+                assert time.monotonic() - started < 2.0
+                assert sorted(result.responses) == ["a", "b"]
+                assert result.unavailable["hang"].kind == FAULT_DEADLINE
+        finally:
+            release.set()
+        assert _join_all(list(workers)) == []
+
+    def test_a_source_that_never_returns_does_not_starve_healthy_ones(self):
+        # Every dispatch re-probes the hung source (cooldown 0) and leaves
+        # a worker stuck in it; more dispatches than max_workers must not
+        # make the healthy source queue behind those workers.
+        release = threading.Event()
+        workers = set()
+        call = self._recording_call(workers, hang="hang", release=release)
+        dispatcher = FanoutDispatcher(DispatchPolicy(
+            max_workers=2, timeout_s=0.05, retries=0, breaker_threshold=1,
+            breaker_cooldown_s=0.0, partial="best_effort",
+        ))
+        try:
+            for _ in range(6):
+                result = dispatcher.dispatch(["hang", "ok"], call)
+                assert result.responses == {"ok": "ok"}
+                assert dispatcher.breaker("ok").state == CircuitBreaker.CLOSED
+        finally:
+            release.set()
+        assert _join_all(list(workers)) == []

@@ -1,5 +1,7 @@
 """Unit tests for loose path matching (the //patient//dob problem)."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -115,3 +117,88 @@ def test_score_bounds_property(a, b):
     score = matcher.score_name(a, b)
     assert 0.0 <= score <= 1.0
     assert matcher.score_name(a, a) == 1.0
+
+
+# -- differential: cached name features vs. the uncached formula -----------
+
+def oracle_score(synonyms, requested, candidate):
+    """``score_name`` as computed before name features were cached."""
+    if normalize_name(requested) == normalize_name(candidate):
+        return 1.0
+    if synonyms.are_synonyms(requested, candidate):
+        return 1.0
+    dice = trigram_dice(normalize_name(requested), normalize_name(candidate))
+    tokens_a, tokens_b = set(name_tokens(requested)), set(name_tokens(candidate))
+    if tokens_a and tokens_b:
+        jaccard = len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
+    else:
+        jaccard = 0.0
+    return max(dice, 0.5 * dice + 0.5 * jaccard)
+
+
+def oracle_best_match(matcher, requested, vocabulary):
+    best_name, best_score = None, 0.0
+    for candidate in sorted(vocabulary):
+        score = oracle_score(matcher.synonyms, requested, candidate)
+        if score > best_score:
+            best_name, best_score = candidate, score
+    if best_score < matcher.threshold:
+        return None, best_score
+    return best_name, best_score
+
+
+def _near_misses(name, rng):
+    """Typos, case and separator changes of ``name``."""
+    out = {name.upper(), name.replace("_", "-"), name + "s", name[:-1] or name}
+    for _ in range(4):
+        i = rng.randrange(len(name))
+        out.add(name[:i] + rng.choice("aeiouxz_") + name[i + 1:])
+        out.add(name[:i] + name[i + 1:] or name)
+    return sorted(out)
+
+
+_STYLED_NAMES = [
+    "dateOfBirth", "date_of_birth", "date-of-birth", "birthDate", "DOB",
+    "zipCode", "zip_code", "postal-code", "firstName", "first_name", "last",
+    "patientId", "patient_id", "HbA1c", "hmo", "healthPlan", "ssn", "addr",
+    "phoneNumber", "tel", "rx", "medication", "dx", "diagnosis", "x", "",
+]
+
+
+def _vocabulary_words():
+    words = set(_STYLED_NAMES)
+    for key, values in SynonymTable()._groups.items():
+        words.add(key)
+        words.update(values)
+    return sorted(words)
+
+
+def test_score_name_matches_oracle_on_styled_and_synonym_names():
+    matcher = LoosePathMatcher()
+    rng = random.Random(14)
+    words = _vocabulary_words()
+    requested = set(words)
+    for name in _STYLED_NAMES:
+        if name:
+            requested.update(_near_misses(name, rng))
+    for a in sorted(requested):
+        for b in words:
+            assert matcher.score_name(a, b) == oracle_score(
+                matcher.synonyms, a, b), (a, b)
+        assert matcher.best_match(a, words) == oracle_best_match(
+            matcher, a, words)
+
+
+@given(_name, _name)
+def test_score_name_matches_oracle_property(a, b):
+    matcher = LoosePathMatcher()
+    assert matcher.score_name(a, b) == oracle_score(matcher.synonyms, a, b)
+
+
+def test_synonym_added_after_first_score_is_honoured():
+    matcher = LoosePathMatcher()
+    before = matcher.score_name("cholesterolLevel", "ldl")
+    assert before < 1.0  # the pair's features are now cached
+    matcher.synonyms.add("cholesterol_level", "LDL")
+    assert matcher.score_name("cholesterolLevel", "ldl") == 1.0
+    assert matcher.best_match("cholesterolLevel", {"ldl", "hdl"}) == ("ldl", 1.0)
