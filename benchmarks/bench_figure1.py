@@ -10,9 +10,10 @@ import time
 
 import pytest
 
-from bench_kernels import kernel_env
+# bench_kernels puts the repo root on sys.path for the test oracles.
+from bench_kernels import oracle_cell_bounds
 from repro.data import FIGURE1, HealthcareGenerator
-from repro.inference import PublishedAggregates, SnoopingSource
+from repro.inference import PublishedAggregates, SnoopingSource, cell_bounds
 
 
 def collect_results(repeats=1):
@@ -41,21 +42,23 @@ def collect_results(repeats=1):
         for cell, (low, high) in inferred.items()
         for paper_low, paper_high in [FIGURE1.paper_intervals[cell]]
     ) / (2 * len(FIGURE1.paper_intervals))
-    # KERN tie-in: the same snooping inference under both kernel modes.
-    # The constraint sweep behind ``infer`` is hot kernel (1); this lane
-    # smoke-checks that the scalar references still reproduce the figure
-    # and publishes what the vectorized encoding buys on this workload.
+    # KERN tie-in: the snooping inference's bound problem through the
+    # scalar oracle and the vectorized solver.  The constraint sweep
+    # behind ``infer`` is hot kernel (1); this lane smoke-checks that the
+    # scalar reference still reproduces the figure and publishes what the
+    # vectorized encoding buys on this workload.
+    constraints = snooper.constraints()
     modes = {}
     mode_intervals = {}
-    for label, scalar in (("scalar", True), ("vectorized", False)):
-        with kernel_env(scalar):
-            started = time.perf_counter()
-            mode_intervals[label] = snooper.infer(
-                starts=max(2, 2 * repeats), seed=0
-            )
-            modes[f"{label}_ms"] = round(
-                (time.perf_counter() - started) * 1000.0, 3
-            )
+    for label, bounds in (("scalar", oracle_cell_bounds),
+                          ("vectorized", cell_bounds)):
+        started = time.perf_counter()
+        mode_intervals[label] = bounds(
+            constraints, starts=max(2, 2 * repeats), seed=0
+        )
+        modes[f"{label}_ms"] = round(
+            (time.perf_counter() - started) * 1000.0, 3
+        )
     modes["speedup"] = round(
         modes["scalar_ms"] / modes["vectorized_ms"], 2
     )
@@ -125,10 +128,11 @@ def test_kernel_modes_agree_on_figure1d(report):
         FIGURE1.row_stds, FIGURE1.source_means, precision=1,
     )
     snooper = SnoopingSource(published, "HMO1", FIGURE1.hmo1_values)
-    intervals = {}
-    for label, scalar in (("scalar", True), ("vectorized", False)):
-        with kernel_env(scalar):
-            intervals[label] = snooper.infer(starts=2, seed=0)
+    constraints = snooper.constraints()
+    intervals = {
+        "scalar": oracle_cell_bounds(constraints, starts=2, seed=0),
+        "vectorized": cell_bounds(constraints, starts=2, seed=0),
+    }
     report("=== F1cd: scalar and vectorized solver agree ===")
     assert set(intervals["scalar"]) == set(intervals["vectorized"])
     for cell, (low, high) in intervals["scalar"].items():

@@ -1,9 +1,10 @@
 """Experiment KERN: vectorized kernels and the batched pose pipeline.
 
-Every hot kernel behind the :mod:`repro.kernels` gate is timed twice on
-the same seeded input — scalar reference vs vectorized — and the
-end-to-end ``pose_many`` batch pipeline is raced against the identical
-workload through a looped ``query()``.  The differential suites
+Every hot kernel is timed on the same seeded input twice — through its
+scalar reference (the test oracle in ``tests/kernels/oracles.py``) and
+through the vectorized production function — and the end-to-end
+``pose_many`` batch pipeline is raced against the identical workload
+through a looped ``query()``.  The differential suites
 (``tests/kernels/``, ``tests/mediator/test_pose_many.py``) pin the two
 paths to identical *outputs*; this bench publishes what the vectorized
 paths buy (``BENCH_kernels.json``, the KERN table of EXPERIMENTS.md).
@@ -14,13 +15,12 @@ workload, at identical outcomes.
 """
 
 import gc
-import os
 import random
+import sys
 import time
-from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.anonymity.hierarchy import interval_hierarchy
 from repro.anonymity.kanonymity import FullDomainGeneralizer, class_sizes
@@ -29,23 +29,23 @@ from repro.inference.bounds import (
     cell_bounds,
     propagate_intervals,
 )
-from repro.kernels import SCALAR_ENV
 from repro.metrics.privacy_loss import budget_fixed_point
 from repro.statdb.laplace import LaplaceMechanism
 from repro.testing.faults import build_flaky_system
 
+# The scalar references are test oracles: put the repo root on sys.path
+# so ``tests.kernels.oracles`` imports however this script is launched.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
 
-@contextmanager
-def kernel_env(scalar):
-    previous = os.environ.get(SCALAR_ENV)
-    os.environ[SCALAR_ENV] = "1" if scalar else ""
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(SCALAR_ENV, None)
-        else:
-            os.environ[SCALAR_ENV] = previous
+from tests.kernels.oracles import (  # noqa: E402
+    oracle_anonymize,
+    oracle_budget_fixed_point,
+    oracle_cell_bounds,
+    oracle_class_sizes,
+    oracle_laplace_answers,
+)
 
 
 def best_of(fn, repeats):
@@ -69,11 +69,10 @@ def best_of(fn, repeats):
     return best * 1000.0  # ms
 
 
-def both_modes(fn, repeats):
-    with kernel_env(scalar=True):
-        scalar_ms = best_of(fn, repeats)
-    with kernel_env(scalar=False):
-        vectorized_ms = best_of(fn, repeats)
+def both_paths(scalar, vectorized, repeats):
+    """Time the scalar oracle and the vectorized kernel on one input."""
+    scalar_ms = best_of(scalar, repeats)
+    vectorized_ms = best_of(vectorized, repeats)
     return {
         "scalar_ms": round(scalar_ms, 3),
         "vectorized_ms": round(vectorized_ms, 3),
@@ -201,15 +200,20 @@ def pose_lane(repeats):
 
 def solver_lane(repeats):
     solver = solver_problem()
-    return both_modes(
-        lambda: cell_bounds(solver, starts=2, seed=0), repeats
+    return both_paths(
+        lambda: oracle_cell_bounds(solver, starts=2, seed=0),
+        lambda: cell_bounds(solver, starts=2, seed=0),
+        repeats,
     )
 
 
 def kanon_lane(repeats):
     records = qi_table()
-    return both_modes(
-        lambda: class_sizes(records, ("age", "zip", "sex")), repeats
+    attributes = ("age", "zip", "sex")
+    return both_paths(
+        lambda: oracle_class_sizes(records, attributes),
+        lambda: class_sizes(records, attributes),
+        repeats,
     )
 
 
@@ -219,16 +223,21 @@ def lattice_lane(repeats):
         interval_hierarchy("visits", [2, 4]),
     ])
     lattice = lattice_records()
-    return both_modes(
+    return both_paths(
+        lambda: oracle_anonymize(generalizer, lattice, 3, max_suppressed=10),
         lambda: generalizer.anonymize(lattice, 3, max_suppressed=10),
         repeats,
     )
 
 
 def laplace_lane(repeats):
-    return both_modes(
+    values, fingerprints = [0.0] * 50_000, range(50_000)
+    return both_paths(
+        lambda: oracle_laplace_answers(
+            LaplaceMechanism(0.5, rng=11), values, fingerprints
+        ),
         lambda: LaplaceMechanism(0.5, rng=11).answer_many(
-            [0.0] * 50_000, range(50_000)
+            values, fingerprints
         ),
         repeats,
     )
@@ -236,20 +245,21 @@ def laplace_lane(repeats):
 
 def fixed_point_lane(repeats):
     losses, budgets = loss_profile()
-    return both_modes(
-        lambda: budget_fixed_point(losses, budgets), repeats
+    return both_paths(
+        lambda: oracle_budget_fixed_point(losses, budgets),
+        lambda: budget_fixed_point(losses, budgets),
+        repeats,
     )
 
 
 def propagation_lane(repeats):
     propagation = propagation_problem()
-    with kernel_env(scalar=False):
-        return {
-            "vectorized_ms": round(
-                best_of(lambda: propagate_intervals(propagation), repeats), 3
-            ),
-            "note": "no scalar reference: vectorized-only observatory path",
-        }
+    return {
+        "vectorized_ms": round(
+            best_of(lambda: propagate_intervals(propagation), repeats), 3
+        ),
+        "note": "no scalar reference: vectorized-only observatory path",
+    }
 
 
 #: Lane name -> callable(repeats) -> JSON cell.  The regression check
@@ -329,7 +339,6 @@ def check_regressions(results, baseline, tolerance):
 def main(argv=None):
     import argparse
     import json
-    import sys
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",

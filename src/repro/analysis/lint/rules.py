@@ -37,10 +37,12 @@ previously enforced only by convention and review:
   backend method is a crash-consistency bug waiting for a caller to
   guess wrong (the durable-privacy-state PR's invariant).
 * REP012 — the modules in :data:`KERNEL_MODULES` carry vectorized hot
-  paths gated by :mod:`repro.kernels`; a per-row Python loop over
-  records/rows/members there is either the pinned scalar reference
-  (suppress with the justification) or an accidental de-vectorization
-  the benchmarks will pay for (the vectorized-kernels PR's invariant).
+  paths whose scalar references are test oracles
+  (``tests/kernels/oracles.py``); a per-row Python loop over
+  records/rows/members there is either a deliberate one-pass load or
+  materialization (suppress with the justification) or an accidental
+  de-vectorization the benchmarks will pay for (the vectorized-kernels
+  PR's invariant).
 * REP013 — the observatory hot paths in :data:`OBS_HOT_MODULES`
   (sampling loops, inline event listeners) must not emit spans/events
   or offer to sinks directly: per-sample emission is unbounded and an
@@ -284,7 +286,6 @@ def check_repro_errors(context):
 #: Derived from the actual dependency DAG (see docs/static_analysis.md).
 LAYER_RANKS = {
     "errors": 0,
-    "kernels": 0,
     "relational": 10, "crypto": 10, "anonymity": 10, "access": 10,
     "inference": 10, "metrics": 10,
     "xmlkit": 20, "statdb": 20, "linkage": 20, "mining": 20, "data": 20,
@@ -543,11 +544,11 @@ def check_diagnostic_channels(context):
 
 # -- REP012: per-row Python loops in vectorized kernel modules -----------------
 
-#: Modules with a vectorized hot path behind the :mod:`repro.kernels`
-#: gate.  The rule is scoped to exactly these — elsewhere a row loop is
-#: ordinary Python; here it is either the scalar reference the
-#: differential tests pin the kernels against (suppressed with that
-#: justification) or a de-vectorization regression.
+#: Modules with a vectorized hot path pinned against a scalar test
+#: oracle.  The rule is scoped to exactly these — elsewhere a row loop is
+#: ordinary Python; here it is either a one-pass load or materialization
+#: the vectorized path needs (suppressed with that justification) or a
+#: de-vectorization regression.
 KERNEL_MODULES = {
     "repro.inference.bounds",
     "repro.anonymity.kanonymity",
@@ -602,8 +603,9 @@ def check_per_row_loops(context):
                     "REP012",
                     f"per-row Python loop over {name!r} in a kernel module "
                     "— batch it through the vectorized path (np.unique / "
-                    "ndarray ops, see repro.kernels) or suppress with the "
-                    "scalar-reference justification",
+                    "ndarray ops; scalar references belong in "
+                    "tests/kernels/oracles.py) or suppress with the "
+                    "justification",
                     node,
                 )
                 break

@@ -10,9 +10,9 @@ Hot-path counting is vectorized: records are factorized once into an
 integer QI code matrix, lattice nodes are *screened* by fancy-indexing
 per-level generalization maps over that matrix and counting equivalence
 classes with ``np.unique`` — only the winning node is materialized
-through the scalar reference (:meth:`FullDomainGeneralizer._try_node`),
-so results are byte-identical to the pure-Python search.
-``REPRO_SCALAR_KERNELS=1`` disables the vectorized screen entirely.
+(:meth:`FullDomainGeneralizer._try_node`), so results are byte-identical
+to trying every node in turn.  The per-record references both paths are
+pinned against live in ``tests/kernels/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.anonymity.lattice import GeneralizationLattice
-from repro.kernels import use_scalar_kernels
 
 #: Sentinel code for "attribute absent from the record" — generalization
 #: never applies to missing attributes, so the sentinel survives every
-#: lattice level unchanged (scalar semantics: the class key gets ``None``).
+#: lattice level unchanged (:func:`equivalence_classes` keys get ``None``).
 _MISSING = object()
 
 
@@ -53,13 +52,6 @@ def class_sizes(records, quasi_identifiers):
     records = list(records)
     if not records:
         return np.empty(0, dtype=np.int64)
-    if use_scalar_kernels():
-        classes = equivalence_classes(records, quasi_identifiers)
-        sizes = {key: len(members) for key, members in classes.items()}
-        return np.array(
-            [sizes[tuple(r.get(a) for a in quasi_identifiers)] for r in records],  # repro-lint: disable=REP012 -- scalar reference path
-            dtype=np.int64,
-        )
     packed = _raw_int_key(records, quasi_identifiers)
     if packed is not None:
         key, span = packed
@@ -103,7 +95,7 @@ def encode_columns(records, attributes):
     first-seen order (``codes[i, j]`` indexes into it).  Missing
     attributes encode as the shared :data:`_MISSING` sentinel so they
     compare equal to each other and to nothing else — matching the
-    ``record.get(a)`` → ``None`` scalar key semantics (``None`` values
+    ``record.get(a)`` → ``None`` class-key semantics (``None`` values
     and absent attributes coincide there too, so ``None`` maps to the
     sentinel's code).
     """
@@ -312,7 +304,7 @@ class _LatticeScreen:
             else:
                 out = hierarchy.generalize(value, level)
                 if out is None:
-                    out = _MISSING  # scalar keys can't tell None apart
+                    out = _MISSING  # class keys can't tell None apart
             try:
                 out_code = seen[out]
             except KeyError:
@@ -329,7 +321,7 @@ class _LatticeScreen:
         """Exactly ``_try_node(...) is not None``, without materializing."""
         n = len(self.records)
         if n == 0:
-            return True  # no records: empty keep is fine (scalar returns it)
+            return True  # no records: empty keep is fine (_try_node returns it)
         matrix = np.empty_like(self.codes)
         for column, level in enumerate(node):
             matrix[:, column] = self._level_map(column, level)[
@@ -376,16 +368,14 @@ class FullDomainGeneralizer:
         """
         records = list(records)
         self._validate(k, max_suppressed, l, sensitive)
-        screen = self._screen_for(records, sensitive)
+        screen = _LatticeScreen(self.lattice, records, sensitive)
         max_height = self.lattice.height_of(self.lattice.top)
         for height in range(max_height + 1):
             for node in self.lattice.nodes_at_height(height):
-                if screen is not None and not screen.node_passes(
-                    node, k, max_suppressed, l
-                ):
+                if not screen.node_passes(node, k, max_suppressed, l):
                     continue
-                # Winning (or scalar-mode candidate) node: materialize via
-                # the scalar reference so results stay byte-identical.
+                # Winning node: materialize it so the result carries the
+                # actual generalized and suppressed records.
                 result = self._try_node(
                     records, node, k, max_suppressed, l, sensitive
                 )
@@ -404,18 +394,11 @@ class FullDomainGeneralizer:
         """Every lattice node satisfying the requirements (for analysis)."""
         records = list(records)
         self._validate(k, max_suppressed, l, sensitive)
-        screen = self._screen_for(records, sensitive)
-        if screen is not None:
-            return [
-                node
-                for node in self.lattice.all_nodes()
-                if screen.node_passes(node, k, max_suppressed, l)
-            ]
+        screen = _LatticeScreen(self.lattice, records, sensitive)
         return [
             node
             for node in self.lattice.all_nodes()
-            if self._try_node(records, node, k, max_suppressed, l, sensitive)
-            is not None
+            if screen.node_passes(node, k, max_suppressed, l)
         ]
 
     def _validate(self, k, max_suppressed, l, sensitive):
@@ -428,11 +411,6 @@ class FullDomainGeneralizer:
         if l is not None and l < 1:
             raise ReproError("l must be >= 1")
 
-    def _screen_for(self, records, sensitive):
-        if use_scalar_kernels() or not records:
-            return None
-        return _LatticeScreen(self.lattice, records, sensitive)
-
     def _try_node(self, records, node, k, max_suppressed, l=None,
                   sensitive=None):
         generalized = self.lattice.generalize_records(records, node)
@@ -441,7 +419,7 @@ class FullDomainGeneralizer:
         for members in classes.values():
             diverse = (
                 l is None
-                or len({m.get(sensitive) for m in members}) >= l  # repro-lint: disable=REP012 -- scalar reference path
+                or len({m.get(sensitive) for m in members}) >= l  # repro-lint: disable=REP012 -- production materialization of the winning node
             )
             if len(members) >= k and diverse:
                 keep.extend(members)

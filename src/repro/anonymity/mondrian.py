@@ -10,8 +10,8 @@ generalization — benchmark A6 quantifies the difference.
 The default implementation loads each QI into one float column array and
 recurses over index arrays with boolean masks — split choice, medians,
 and ranges are ndarray reductions, and range endpoints are read back from
-the original Python values (types preserved).  ``REPRO_SCALAR_KERNELS=1``
-selects the original per-record reference; both produce identical
+the original Python values (types preserved).  The per-record reference
+recursion lives in ``tests/kernels/oracles.py``; both produce identical
 partitions in identical order.
 """
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ReproError
-from repro.kernels import use_scalar_kernels
 
 
 def mondrian_partition(records, quasi_identifiers, k):
@@ -45,23 +44,14 @@ def mondrian_partition(records, quasi_identifiers, k):
                     f"Mondrian requires numeric QIs; {attribute!r}={value!r}"
                 )
 
-    if use_scalar_kernels():
-        # Global ranges for normalization, so one wide attribute does not
-        # dominate the split choice.
-        spans = {}
-        for attribute in quasi_identifiers:
-            values = [r[attribute] for r in records]  # repro-lint: disable=REP012 -- scalar reference path
-            spans[attribute] = (min(values), max(values))
-        partitions = []
-        _split_scalar(records, quasi_identifiers, k, spans, partitions)
-        return partitions
-
     attributes = sorted(quasi_identifiers)
     raw = {
         attribute: [r[attribute] for r in records]  # repro-lint: disable=REP012 -- one column-load pass feeding the ndarray recursion
         for attribute in attributes
     }
     columns = {a: np.asarray(raw[a], dtype=float) for a in attributes}
+    # Global ranges for normalization, so one wide attribute does not
+    # dominate the split choice.
     spans = {
         a: float(columns[a].max() - columns[a].min()) for a in attributes
     }
@@ -91,7 +81,12 @@ def anonymized_records(partitions, quasi_identifiers):
 
 def _split_vector(index, records, raw, columns, attributes, k, spans,
                   partitions):
-    """The reference recursion over an index array instead of record lists."""
+    """Split ``index`` on the median of its widest normalized attribute.
+
+    Attributes are tried in name order and the first widest wins; the
+    split is ``< median`` or, failing that, ``<= median``, and recursion
+    stops when neither leaves both sides with at least ``k`` records.
+    """
     best, best_width = None, 0.0
     for attribute in attributes:
         values = columns[attribute][index]
@@ -117,51 +112,10 @@ def _split_vector(index, records, raw, columns, attributes, k, spans,
     for attribute in attributes:
         values = columns[attribute][index]
         # Read endpoints back from the original values: int QIs must stay
-        # ints in the released ranges, exactly as the scalar min()/max().
+        # ints in the released ranges.
         ranges[attribute] = (
             raw[attribute][index[int(values.argmin())]],
             raw[attribute][index[int(values.argmax())]],
         )
     partitions.append((ranges, [records[i] for i in index]))  # repro-lint: disable=REP012 -- partition materialization
 
-
-def _split_scalar(records, quasi_identifiers, k, spans, partitions):
-    best_attribute = _choose_attribute(records, quasi_identifiers, spans)
-    if best_attribute is not None:
-        values = sorted(r[best_attribute] for r in records)  # repro-lint: disable=REP012 -- scalar reference path
-        median = values[len(values) // 2]
-        left = [r for r in records if r[best_attribute] < median]  # repro-lint: disable=REP012 -- scalar reference path
-        right = [r for r in records if r[best_attribute] >= median]  # repro-lint: disable=REP012 -- scalar reference path
-        if len(left) >= k and len(right) >= k:
-            _split_scalar(left, quasi_identifiers, k, spans, partitions)
-            _split_scalar(right, quasi_identifiers, k, spans, partitions)
-            return
-        # Median split failed; try the strict split the other way around.
-        left = [r for r in records if r[best_attribute] <= median]  # repro-lint: disable=REP012 -- scalar reference path
-        right = [r for r in records if r[best_attribute] > median]  # repro-lint: disable=REP012 -- scalar reference path
-        if len(left) >= k and len(right) >= k:
-            _split_scalar(left, quasi_identifiers, k, spans, partitions)
-            _split_scalar(right, quasi_identifiers, k, spans, partitions)
-            return
-    ranges = {
-        attribute: (
-            min(r[attribute] for r in records),  # repro-lint: disable=REP012 -- scalar reference path
-            max(r[attribute] for r in records),  # repro-lint: disable=REP012 -- scalar reference path
-        )
-        for attribute in quasi_identifiers
-    }
-    partitions.append((ranges, records))
-
-
-def _choose_attribute(records, quasi_identifiers, spans):
-    """The attribute with the widest normalized range (ties: name order)."""
-    best, best_width = None, 0.0
-    for attribute in sorted(quasi_identifiers):
-        low = min(r[attribute] for r in records)  # repro-lint: disable=REP012 -- scalar reference path
-        high = max(r[attribute] for r in records)  # repro-lint: disable=REP012 -- scalar reference path
-        global_low, global_high = spans[attribute]
-        denominator = global_high - global_low
-        width = (high - low) / denominator if denominator else 0.0
-        if width > best_width:
-            best, best_width = attribute, width
-    return best

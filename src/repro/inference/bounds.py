@@ -14,7 +14,9 @@ sources (HMOs).  Published knowledge constrains the hidden cells:
 
 For each hidden cell we minimize and maximize its value over the feasible
 set with SLSQP from several deterministic starts.  The interval
-``[min, max]`` is what a snooper provably learns.
+``[min, max]`` is what a snooper provably learns.  All constraints go to
+the solver as one vector-valued function; the per-constraint closure
+list it is pinned against lives in ``tests/kernels/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from repro.errors import ReproError
-from repro.kernels import use_scalar_kernels
 
 DEFAULT_TOLERANCE = 0.05  # published to one decimal place
 
@@ -114,10 +115,7 @@ def cell_bounds(constraints, starts=6, seed=0):
     index_of = {cell: k for k, cell in enumerate(hidden)}
     n_vars = len(hidden)
     lo, hi = constraints.value_range
-    if use_scalar_kernels():
-        scipy_constraints = _build_constraints(constraints, index_of)
-    else:
-        scipy_constraints = _build_constraints_vector(constraints, index_of)
+    scipy_constraints = _build_constraints(constraints, index_of)
     bounds = [(lo, hi)] * n_vars
     rng = np.random.default_rng(seed)
 
@@ -238,15 +236,14 @@ def propagate_intervals(constraints, sweeps=32, tolerance=1e-12):
     }
 
 
-def _build_constraints_vector(constraints, index_of):
+def _build_constraints(constraints, index_of):
     """One vector-valued SLSQP constraint evaluating every residual at once.
 
-    Encodes exactly the inequalities of :func:`_build_constraints` — same
-    residuals in the same order — but computes them with ndarray ops over
-    a scatter-filled matrix, so one evaluation replaces the whole list of
-    per-constraint Python closures (the solver's finite-difference
-    jacobian calls the constraint functions n_vars+1 times per iteration,
-    which is where the scalar path burns its time).
+    The published aggregates as inequalities, per row ``[mean+, mean-,
+    (std+, std-)]`` then per column-mean ``[col+, col-]``, computed with
+    ndarray ops over a scatter-filled matrix.  One evaluation replaces a
+    list of per-constraint Python closures (the solver's finite-difference
+    jacobian calls the constraint functions n_vars+1 times per iteration).
     """
     n_rows, n_cols = constraints.n_rows, constraints.n_cols
     cells = sorted(index_of, key=index_of.get)
@@ -281,8 +278,8 @@ def _build_constraints_vector(constraints, index_of):
     col_mus = np.asarray(col_mus, dtype=float)
     col_tols = np.asarray(col_tols, dtype=float)
 
-    # Residual slots mirror the scalar constraint list's order: per row
-    # [mean+, mean-, (std+, std-)], then per column-mean [col+, col-].
+    # Residual slots: per row [mean+, mean-, (std+, std-)], then per
+    # column-mean [col+, col-].
     slot_mean = np.empty(n_rows, dtype=np.intp)
     slot_std = np.empty(len(std_rows), dtype=np.intp)
     position, next_std = 0, 0
@@ -316,53 +313,3 @@ def _build_constraints_vector(constraints, index_of):
 
     return [{"type": "ineq", "fun": residuals}]
 
-
-def _build_constraints(constraints, index_of):
-    """SLSQP inequality constraints encoding the published aggregates."""
-    cons = []
-    n_rows, n_cols = constraints.n_rows, constraints.n_cols
-
-    def row_values(v, i):
-        values = np.empty(n_cols)
-        for j in range(n_cols):
-            if j in constraints.known_columns:
-                values[j] = constraints.known_columns[j][i]
-            else:
-                values[j] = v[index_of[(i, j)]]
-        return values
-
-    tol = constraints.tolerance
-    for i in range(n_rows):
-        mu = constraints.row_means[i]
-        cons.append({"type": "ineq", "fun": (
-            lambda v, i=i, mu=mu: tol - (np.mean(row_values(v, i)) - mu)
-        )})
-        cons.append({"type": "ineq", "fun": (
-            lambda v, i=i, mu=mu: tol - (mu - np.mean(row_values(v, i)))
-        )})
-        if (constraints.row_stds is not None
-                and constraints.row_stds[i] is not None):
-            sigma = constraints.row_stds[i]
-            cons.append({"type": "ineq", "fun": (
-                lambda v, i=i, sigma=sigma: tol
-                - (np.std(row_values(v, i), ddof=1) - sigma)
-            )})
-            cons.append({"type": "ineq", "fun": (
-                lambda v, i=i, sigma=sigma: tol
-                - (sigma - np.std(row_values(v, i), ddof=1))
-            )})
-
-    for j, mean in constraints.column_means.items():
-        if j in constraints.known_columns:
-            continue
-        col_tol = constraints.column_tol(j)
-        indices = [index_of[(i, j)] for i in range(n_rows)]
-        cons.append({"type": "ineq", "fun": (
-            lambda v, idx=tuple(indices), m=mean, t=col_tol: t
-            - (np.mean(v[list(idx)]) - m)
-        )})
-        cons.append({"type": "ineq", "fun": (
-            lambda v, idx=tuple(indices), m=mean, t=col_tol: t
-            - (m - np.mean(v[list(idx)]))
-        )})
-    return cons

@@ -33,9 +33,14 @@ kinds, breaker state) that the engine folds into the explain ledger and
 the metrics registry, and per-attempt spans parent under the engine's
 ``mediator.fanout`` span even though they run on worker threads.
 
-``mode="sequential"`` runs the same state machine in-line (no pool, no
-deadline preemption) — it is the benchmark baseline and the behavioural
-reference for the zero-fault equivalence property tests.
+``mode="sequential"`` — and ``dispatch(..., inline=True)`` when no
+deadline is configured — runs a second, in-line state machine
+(:meth:`FanoutDispatcher._dispatch_sequential`): it shares the breaker,
+retry and settle helpers with the concurrent machine (``_run_loop``) but
+drives them from the calling thread, one source after another, with no
+pool and no deadline preemption.  It is the benchmark baseline, the batch
+pipeline's cheap path, and the behavioural reference the zero-fault
+equivalence property tests pin the concurrent machine against.
 """
 
 from __future__ import annotations

@@ -4,6 +4,10 @@ The paper asks for probabilistic, non-boolean loss notions: the canonical
 one here is *interval shrink* — how much a release narrows the range an
 adversary can place a confidential value in.  Loss 0 means the adversary
 learned nothing beyond the prior; loss 1 means the value is pinned exactly.
+
+:func:`budget_fixed_point`, the §5 enforcement loop, runs as one
+vectorized kernel; its per-source scalar reference is a test oracle
+(``tests/kernels/oracles.py``).
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 import numpy as np
 
 from repro.errors import ReproError
-from repro.kernels import use_scalar_kernels
 
 
 def compound_loss(losses):
@@ -48,17 +51,14 @@ def budget_fixed_point(per_source_loss, budgets, tolerance=1e-9):
     ``withheld`` lists ``(source, aggregated_at_withholding, budget)``
     tuples in withholding order.
 
-    The default implementation iterates a vectorized convergence mask
-    over ndarray losses/budgets; ``REPRO_SCALAR_KERNELS=1`` selects the
-    scalar reference loop the differential tests pin it against.
+    Iterates a vectorized convergence mask over ndarray losses/budgets;
+    the per-source reference loop it is pinned against lives in
+    ``tests/kernels/oracles.py``.
     """
-    if use_scalar_kernels() or len(per_source_loss) < 2:
-        return _budget_fixed_point_scalar(per_source_loss, budgets, tolerance)
-
     names = list(per_source_loss)
-    # Range validation through the scalar reference itself, so an
-    # out-of-range loss raises the byte-identical error (first offender
-    # in name order) from the same function either way.
+    # Range validation through compound_loss, so an out-of-range loss
+    # raises the same error (first offender in name order) as aggregating
+    # the losses directly.
     compound_loss(per_source_loss[name] for name in names)
     losses = np.asarray([per_source_loss[name] for name in names], dtype=float)
     granted = np.asarray([budgets.get(name, 1.0) for name in names], dtype=float)
@@ -91,28 +91,6 @@ def budget_fixed_point(per_source_loss, budgets, tolerance=1e-9):
         for i, name in enumerate(names)
         if active[i]
     }
-    return participating, aggregated, withheld
-
-
-def _budget_fixed_point_scalar(per_source_loss, budgets, tolerance):
-    """Scalar reference for :func:`budget_fixed_point` (kept verbatim)."""
-    participating = dict(per_source_loss)
-    withheld = []
-    while True:
-        aggregated = compound_loss(participating.values())
-        violated = [
-            source
-            for source in sorted(participating)
-            if aggregated > budgets.get(source, 1.0) + tolerance
-        ]
-        if not violated:
-            break
-        worst = max(violated, key=lambda s: (participating[s], s))
-        withheld.append((worst, aggregated, budgets.get(worst, 1.0)))
-        del participating[worst]
-        if not participating:
-            break
-    aggregated = compound_loss(participating.values()) if participating else 0.0
     return participating, aggregated, withheld
 
 

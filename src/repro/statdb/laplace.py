@@ -18,20 +18,18 @@ Noise draws route through one injectable ``numpy.random.Generator``
 (pass an ``int`` seed, a ``Generator``, or — for backward compatibility —
 a ``random.Random``).  Batched draws (:meth:`LaplaceMechanism.answer_many`)
 consume the generator stream exactly as the same number of single draws
-would, so batch and sequential answering are stream-equivalent; the
-``REPRO_SCALAR_KERNELS=1`` escape hatch swaps in the scalar inverse-CDF
-reference the differential tests pin the vectorized math against.
+would, so batch and sequential answering are stream-equivalent.  The
+scalar inverse-CDF reference the vectorized draws are pinned against
+lives in ``tests/kernels/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
 
 from repro.errors import PrivacyViolation, ReproError
-from repro.kernels import use_scalar_kernels
 
 
 def resolve_rng(rng=None):
@@ -119,7 +117,7 @@ class LaplaceMechanism:
             return self._memo[key]
         if self.budget is not None:
             self.budget.charge(requester, self.epsilon_per_query)
-        noisy = value + self._laplace()
+        noisy = value + float(self._laplace_batch(1)[0])
         self._memo[key] = noisy
         return noisy
 
@@ -182,8 +180,7 @@ class LaplaceMechanism:
         are bitwise-identical to the sequential loop: the same float64
         ``value + draw`` per novel pair, replayed for duplicates.
         """
-        if (self.budget is not None or self._memo
-                or use_scalar_kernels() or not values):
+        if self.budget is not None or self._memo or not values:
             return None
         try:
             numeric = np.asarray(values, dtype=np.float64)
@@ -205,21 +202,14 @@ class LaplaceMechanism:
         )
         return noisy[codes].tolist()
 
-    def _laplace(self):
-        if use_scalar_kernels():
-            # scalar inverse-CDF reference:
-            # b * sign(u) * ln(1 - 2|u|), u ~ U(-1/2, 1/2)
-            u = self.rng.random() - 0.5
-            return -self.noise_scale * math.copysign(1.0, u) * math.log(
-                1.0 - 2.0 * abs(u)
-            )
-        return float(self._laplace_batch(1)[0])
-
     def _laplace_batch(self, n):
-        """``n`` Laplace draws, consuming the stream as ``n`` single draws."""
+        """``n`` Laplace draws, consuming the stream as ``n`` single draws.
+
+        Inverse CDF: ``b * sign(u) * ln(1 - 2|u|)``, ``u ~ U(-1/2, 1/2)``.
+        """
         if n <= 0:
             return np.empty(0)
-        if isinstance(self.rng, np.random.Generator) and not use_scalar_kernels():
+        if isinstance(self.rng, np.random.Generator):
             u = self.rng.random(n) - 0.5
         else:
             u = np.array([self.rng.random() for _ in range(n)]) - 0.5

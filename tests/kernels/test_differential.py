@@ -1,11 +1,11 @@
 """Differential tests: vectorized kernels vs their scalar references.
 
-Every hot kernel behind the :mod:`repro.kernels` gate is run twice on
-the same seeded inputs — once with ``REPRO_SCALAR_KERNELS=1`` (the
-scalar reference, the executable specification) and once vectorized —
-and the outputs are compared.  Seeds are fixed, so a divergence is a
+Every hot kernel is run on the same seeded inputs through its production
+(vectorized) implementation and through its scalar reference in
+:mod:`tests.kernels.oracles` — the executable specification — and the
+outputs are compared.  Seeds are fixed, so a divergence is a
 reproducible counterexample, not a flake.  Across the parametrized
-cases this file pins ~500 seeded inputs.
+cases this file pins ~470 seeded inputs.
 """
 
 import math
@@ -23,76 +23,67 @@ from repro.anonymity.kanonymity import (
 )
 from repro.anonymity.mondrian import anonymized_records, mondrian_partition
 from repro.inference.bounds import AggregateConstraints, cell_bounds
-from repro.kernels import SCALAR_ENV, kernel_mode, use_scalar_kernels
 from repro.metrics.privacy_loss import budget_fixed_point
 from repro.statdb.laplace import LaplaceMechanism, PrivacyBudget
+from tests.kernels.oracles import (
+    oracle_anonymize,
+    oracle_budget_fixed_point,
+    oracle_cell_bounds,
+    oracle_class_sizes,
+    oracle_laplace_answers,
+    oracle_mondrian_partition,
+    oracle_satisfying_nodes,
+)
 
 
-def both_modes(monkeypatch, fn):
-    """Run ``fn()`` under the scalar reference, then vectorized."""
-    monkeypatch.setenv(SCALAR_ENV, "1")
-    assert use_scalar_kernels()
-    scalar = fn()
-    monkeypatch.setenv(SCALAR_ENV, "")
-    assert not use_scalar_kernels()
-    vectorized = fn()
-    return scalar, vectorized
+def loss_profile(rng, n_sources):
+    names = [f"s{i}" for i in range(n_sources)]
+    losses = {name: round(rng.random(), 6) for name in names}
+    budgets = {
+        name: round(rng.random(), 6)
+        for name in names
+        if rng.random() < 0.7
+    }
+    return losses, budgets
 
 
-class TestKernelGate:
-    def test_mode_reflects_environment(self, monkeypatch):
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        assert kernel_mode() == "scalar"
-        monkeypatch.setenv(SCALAR_ENV, "0")
-        assert kernel_mode() == "vectorized"
-        monkeypatch.delenv(SCALAR_ENV)
-        assert kernel_mode() == "vectorized"
+def assert_fixed_points_match(losses, budgets):
+    s_part, s_agg, s_withheld = oracle_budget_fixed_point(
+        dict(losses), dict(budgets)
+    )
+    v_part, v_agg, v_withheld = budget_fixed_point(dict(losses), dict(budgets))
+    assert v_part == s_part
+    assert v_agg == pytest.approx(s_agg, abs=1e-12)
+    assert [w[0] for w in v_withheld] == [w[0] for w in s_withheld]
+    for (_, s_at, s_budget), (_, v_at, v_budget) in zip(
+        s_withheld, v_withheld
+    ):
+        assert v_at == pytest.approx(s_at, abs=1e-12)
+        assert v_budget == pytest.approx(s_budget, abs=1e-12)
 
 
 class TestBudgetFixedPoint:
-    """150 seeded loss/budget profiles through both fixed-point paths."""
+    """160 seeded loss/budget profiles: production vs scalar oracle."""
 
     @pytest.mark.parametrize("seed", range(150))
-    def test_fixed_point_matches_reference(self, monkeypatch, seed):
+    def test_fixed_point_matches_reference(self, seed):
         rng = random.Random(seed)
-        names = [f"s{i}" for i in range(rng.randint(2, 8))]
-        losses = {name: round(rng.random(), 6) for name in names}
-        budgets = {
-            name: round(rng.random(), 6)
-            for name in names
-            if rng.random() < 0.7
-        }
+        assert_fixed_points_match(*loss_profile(rng, rng.randint(2, 8)))
 
-        def run():
-            return budget_fixed_point(dict(losses), dict(budgets))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_empty_and_single_source_match_reference(self, seed):
+        rng = random.Random(9000 + seed)
+        assert_fixed_points_match(*loss_profile(rng, seed % 2))
 
-        scalar, vectorized = both_modes(monkeypatch, run)
-        s_part, s_agg, s_withheld = scalar
-        v_part, v_agg, v_withheld = vectorized
-        assert v_part == s_part
-        assert v_agg == pytest.approx(s_agg, abs=1e-12)
-        assert [w[0] for w in v_withheld] == [w[0] for w in s_withheld]
-        for (_, s_at, s_budget), (_, v_at, v_budget) in zip(
-            s_withheld, v_withheld
-        ):
-            assert v_at == pytest.approx(s_at, abs=1e-12)
-            assert v_budget == pytest.approx(s_budget, abs=1e-12)
-
-    def test_out_of_range_loss_raises_identically(self, monkeypatch):
+    def test_out_of_range_loss_raises_identically(self):
         from repro.errors import ReproError
 
         losses = {"a": 0.3, "b": 1.5, "c": 0.2}
-
-        def run():
-            try:
-                budget_fixed_point(losses, {})
-            except ReproError as error:
-                return str(error)
-            return None
-
-        scalar, vectorized = both_modes(monkeypatch, run)
-        assert scalar is not None
-        assert vectorized == scalar
+        with pytest.raises(ReproError) as scalar:
+            oracle_budget_fixed_point(losses, {})
+        with pytest.raises(ReproError) as vectorized:
+            budget_fixed_point(losses, {})
+        assert str(vectorized.value) == str(scalar.value)
 
 
 def random_table(rng, n_rows, attributes, cardinality):
@@ -103,10 +94,10 @@ def random_table(rng, n_rows, attributes, cardinality):
 
 
 class TestKAnonymityCounting:
-    """100 seeded QI tables through both class-counting paths."""
+    """100 seeded QI tables: production counting vs scalar oracle."""
 
     @pytest.mark.parametrize("seed", range(100))
-    def test_counting_matches_reference(self, monkeypatch, seed):
+    def test_counting_matches_reference(self, seed):
         rng = random.Random(1000 + seed)
         attributes = [f"q{i}" for i in range(rng.randint(1, 4))]
         records = random_table(
@@ -114,23 +105,36 @@ class TestKAnonymityCounting:
         )
         k = rng.randint(1, 5)
 
-        def run():
-            return (
-                class_sizes(records, attributes),
-                is_k_anonymous(records, attributes, k),
-                measured_k(records, attributes),
-            )
+        sizes = oracle_class_sizes(records, attributes)
+        assert np.array_equal(class_sizes(records, attributes), sizes)
+        assert is_k_anonymous(records, attributes, k) == (
+            int(sizes.min()) >= k
+        )
+        assert measured_k(records, attributes) == int(sizes.min())
 
-        scalar, vectorized = both_modes(monkeypatch, run)
-        assert np.array_equal(vectorized[0], scalar[0])
-        assert vectorized[1:] == scalar[1:]
+
+def assert_search_matches(generalizer, records, k, max_suppressed, **diverse):
+    result = generalizer.anonymize(
+        records, k, max_suppressed=max_suppressed, **diverse
+    )
+    reference = oracle_anonymize(
+        generalizer, records, k, max_suppressed, **diverse
+    )
+    assert (result.node, result.records, result.suppressed) == (
+        reference.node, reference.records, reference.suppressed
+    )
+    assert generalizer.satisfying_nodes(
+        records, k, max_suppressed=max_suppressed, **diverse
+    ) == oracle_satisfying_nodes(
+        generalizer, records, k, max_suppressed, **diverse
+    )
 
 
 class TestLatticeSearch:
-    """80 seeded tables through both full-domain lattice search paths."""
+    """80 seeded tables: screened lattice search vs trying every node."""
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_anonymize_matches_reference(self, monkeypatch, seed):
+    def test_anonymize_matches_reference(self, seed):
         rng = random.Random(2000 + seed)
         generalizer = FullDomainGeneralizer([
             interval_hierarchy("age", [5, 10, 20]),
@@ -143,17 +147,10 @@ class TestLatticeSearch:
         k = rng.randint(2, 4)
         max_suppressed = rng.randrange(4)
 
-        def run():
-            result = generalizer.anonymize(
-                records, k, max_suppressed=max_suppressed
-            )
-            return result.node, result.records, result.suppressed
-
-        scalar, vectorized = both_modes(monkeypatch, run)
-        assert vectorized == scalar
+        assert_search_matches(generalizer, records, k, max_suppressed)
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_diverse_anonymize_matches_reference(self, monkeypatch, seed):
+    def test_diverse_anonymize_matches_reference(self, seed):
         rng = random.Random(3000 + seed)
         generalizer = FullDomainGeneralizer([
             interval_hierarchy("age", [5, 10, 20]),
@@ -164,21 +161,16 @@ class TestLatticeSearch:
             for _ in range(rng.randint(6, 30))
         ]
 
-        def run():
-            result = generalizer.anonymize(
-                records, 2, max_suppressed=3, l=2, sensitive="diagnosis"
-            )
-            return result.node, result.records, result.suppressed
-
-        scalar, vectorized = both_modes(monkeypatch, run)
-        assert vectorized == scalar
+        assert_search_matches(
+            generalizer, records, 2, 3, l=2, sensitive="diagnosis"
+        )
 
 
 class TestMondrian:
-    """60 seeded numeric tables through both Mondrian recursions."""
+    """60 seeded numeric tables: index-array recursion vs scalar oracle."""
 
     @pytest.mark.parametrize("seed", range(60))
-    def test_partitions_match_reference(self, monkeypatch, seed):
+    def test_partitions_match_reference(self, seed):
         rng = random.Random(4000 + seed)
         attributes = [f"q{i}" for i in range(rng.randint(1, 3))]
         k = rng.randint(2, 5)
@@ -187,24 +179,19 @@ class TestMondrian:
             for _ in range(rng.randint(k, 80))
         ]
 
-        def run():
-            partitions = mondrian_partition(records, attributes, k)
-            released = anonymized_records(partitions, attributes)
-            return (
-                [(ranges, members) for ranges, members in partitions],
-                released,
-            )
-
-        scalar, vectorized = both_modes(monkeypatch, run)
-        assert vectorized == scalar
+        partitions = mondrian_partition(records, attributes, k)
+        reference = oracle_mondrian_partition(records, attributes, k)
+        assert partitions == reference
+        assert anonymized_records(partitions, attributes) == (
+            anonymized_records(reference, attributes)
+        )
 
 
 class TestLaplace:
-    """Seeded noise streams: batch = sequential, quantiles match scale."""
+    """Seeded noise streams: batch = sequential, draws match the oracle."""
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_batch_equals_sequential_draws(self, monkeypatch, seed):
-        monkeypatch.setenv(SCALAR_ENV, "")
+    def test_batch_equals_sequential_draws(self, seed):
         values = [float(i) for i in range(12)]
         fingerprints = [f"fp{i % 8}" for i in range(12)]  # dupes replay
         one = LaplaceMechanism(0.5, rng=seed)
@@ -216,14 +203,18 @@ class TestLaplace:
         assert batched == sequential
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_scalar_and_vectorized_quantiles_agree(self, monkeypatch, seed):
-        def run():
-            mechanism = LaplaceMechanism(1.0, rng=5000 + seed)
-            return np.asarray(mechanism.answer_many(
-                [0.0] * 2000, [f"fp{i}" for i in range(2000)]
-            ))
-
-        scalar, vectorized = both_modes(monkeypatch, run)
+    def test_scalar_and_vectorized_quantiles_agree(self, seed):
+        values = [0.0] * 2000
+        fingerprints = [f"fp{i}" for i in range(2000)]
+        scalar = np.asarray(oracle_laplace_answers(
+            LaplaceMechanism(1.0, rng=5000 + seed), values, fingerprints
+        ))
+        vectorized = np.asarray(LaplaceMechanism(
+            1.0, rng=5000 + seed
+        ).answer_many(values, fingerprints))
+        # Same generator stream, one uniform per draw: the batch inverse
+        # CDF must reproduce each scalar draw up to float rounding.
+        np.testing.assert_allclose(vectorized, scalar, rtol=0, atol=1e-12)
         for q in (0.1, 0.25, 0.5, 0.75, 0.9):
             assert np.quantile(vectorized, q) == pytest.approx(
                 np.quantile(scalar, q), abs=0.25
@@ -234,10 +225,8 @@ class TestLaplace:
                 math.log(2), abs=0.15
             )
 
-    def test_budget_exhaustion_state_matches_sequential(self, monkeypatch):
+    def test_budget_exhaustion_state_matches_sequential(self):
         from repro.errors import PrivacyViolation
-
-        monkeypatch.setenv(SCALAR_ENV, "")
 
         def exercise(answer_all):
             budget = PrivacyBudget(1.0)
@@ -263,7 +252,7 @@ class TestBoundsSolver:
     """Seeded bound problems through both SLSQP constraint encodings."""
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_cell_bounds_match_reference(self, monkeypatch, seed):
+    def test_cell_bounds_match_reference(self, seed):
         rng = random.Random(6000 + seed)
         n_rows, n_cols = rng.randint(1, 3), rng.randint(2, 4)
         table = [
@@ -286,16 +275,16 @@ class TestBoundsSolver:
 
         from repro.errors import ReproError
 
-        def run():
+        def run(bounds):
             # SLSQP can fail to certify a tight (stds-constrained) problem
             # from few starts; "infeasible" is then itself an output the
             # two constraint encodings must agree on.
             try:
-                return cell_bounds(constraints, starts=6, seed=seed)
+                return bounds(constraints, starts=6, seed=seed)
             except ReproError:
                 return "infeasible"
 
-        scalar, vectorized = both_modes(monkeypatch, run)
+        scalar, vectorized = run(oracle_cell_bounds), run(cell_bounds)
         if scalar == "infeasible" or vectorized == "infeasible":
             assert vectorized == scalar
             return
