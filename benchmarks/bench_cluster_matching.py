@@ -83,10 +83,7 @@ def execute_and_analyze(texts, view, table):
             ):
                 breaches.add(BreachType.ATTRIBUTE_DISCLOSURE)
         else:
-            query_set = [
-                r for r in table.rows_as_dicts() if local.where.evaluate(r)
-            ]
-            if len(query_set) < len(table) / 4:
+            if len(table.select(local.where)) < len(table) / 4:
                 breaches.add(BreachType.SMALL_SET_AGGREGATE)
             if piql.where:
                 breaches.add(BreachType.TRACKER_SEQUENCE)

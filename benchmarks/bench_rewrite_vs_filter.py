@@ -69,12 +69,7 @@ def execute_then_filter(table, percent):
     raw = base_query(extra_columns=("consent_bucket",))
     interim = execute(raw, table)
     processed = privacy_process(interim.rows_as_dicts())
-    predicate = consent_predicate(percent)
-    return [
-        row
-        for row, original in zip(processed, interim.rows_as_dicts())
-        if predicate.evaluate(original)
-    ]
+    return [processed[i] for i in interim.select(consent_predicate(percent))]
 
 
 @pytest.mark.parametrize("label", list(SELECTIVITIES))

@@ -122,6 +122,10 @@ DEFAULT_SOURCES = {
     "*.rows_as_dicts": LABEL_ROWS,
     "repro.relational.table.Table.column_values": LABEL_ROWS,
     "*.column_values": LABEL_ROWS,
+    # the column view the WHERE masks and the executor read cells from,
+    # and the row ids a predicate selects (which records match it)
+    "repro.relational.table.Table.columns": LABEL_ROWS,
+    "repro.relational.table.Table.select": LABEL_ROWS,
     # DisclosureForm payload assembly (tagged result documents carry the
     # post-rewrite cell values a source agreed to disclose)
     "repro.source.results.tag_results": LABEL_RESULT,
@@ -141,8 +145,8 @@ DEFAULT_SOURCES = {
     "repro.validation.adversaries.zoo_truth": LABEL_TRUTH,
     "*.zoo_truth": LABEL_TRUTH,
     # which records a query sequence pins down identifies *people*
-    "repro.statdb.audit.AuditTrail._compromised_indices": LABEL_RECORDS,
-    "*._compromised_indices": LABEL_RECORDS,
+    "repro.statdb.audit.SumAuditor.compromised_now": LABEL_RECORDS,
+    "*.compromised_now": LABEL_RECORDS,
 }
 
 DEFAULT_SANITIZERS = [

@@ -555,6 +555,8 @@ KERNEL_MODULES = {
     "repro.anonymity.mondrian",
     "repro.statdb.laplace",
     "repro.metrics.privacy_loss",
+    "repro.relational.expr",
+    "repro.relational.engine",
 }
 
 _ROW_COLLECTION_NAMES = {"records", "rows", "members"}

@@ -7,6 +7,12 @@ runs a plan against a :class:`~repro.relational.catalog.Catalog` or a single
 :class:`~repro.relational.table.Table` and returns a result
 :class:`~repro.relational.table.Table`.
 
+Execution is columnar: the WHERE clause is one mask over the table's
+column view (``Table.select``), and projections, group keys and
+aggregates read the selected rows' stored values from their columns.
+Aggregates reduce those values in row order with plain Python
+arithmetic, so results are exactly those of a row-at-a-time executor.
+
 Aggregate functions: COUNT, SUM, AVG, MIN, MAX, STDDEV (population standard
 deviation, matching the paper's Figure 1 sigma), and VAR.  ``COUNT(*)`` is
 spelled ``Aggregate('count', '*')``.
@@ -15,6 +21,8 @@ spelled ``Aggregate('count', '*')``.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from repro.errors import RelationalError
 from repro.relational.schema import Column, TableSchema
@@ -48,7 +56,10 @@ class Aggregate:
         if self.func == "count":
             if self.column == "*":
                 return len(values)
+            # repro-lint: disable=REP012 -- aggregates reduce the selected
+            # values with Python arithmetic, so floats stay bit-identical
             return sum(1 for v in values if v is not None)
+        # repro-lint: disable=REP012 -- as above
         present = [v for v in values if v is not None]
         if not present:
             return None
@@ -194,96 +205,109 @@ class SelectQuery:
         return f"SelectQuery({to_sql(self)!r})"
 
 
-def execute(query, source):
-    """Execute ``query`` against ``source`` (a Catalog or a Table)."""
+def execute(query, source, row_ids=None):
+    """Execute ``query`` against ``source`` (a Catalog or a Table).
+
+    ``row_ids`` is the query set when the caller has already selected it
+    (``table.select(query.where)`` over the query's table), so the WHERE
+    clause is not evaluated twice.  A join selects over the joined
+    table, so it takes no ``row_ids``.
+    """
     from repro.relational.catalog import Catalog
 
     if isinstance(source, Catalog):
-        base = source.table(query.table)
-        right = source.table(query.join.right_table) if query.join else None
+        table = source.table(query.table)
+        if query.join is not None:
+            if row_ids is not None:
+                raise RelationalError("row_ids cannot be given for a join")
+            right = source.table(query.join.right_table)
+            table = _join(table, right, query.join)
     elif isinstance(source, Table):
-        base = source
+        table = source
         if query.join is not None:
             raise RelationalError("joins require a Catalog source")
-        right = None
     else:
         raise RelationalError(f"cannot execute against {type(source).__name__}")
 
-    rows, schema = _scan(base, right, query.join)
-    rows = [row for row in rows if query.where.evaluate(row)]
+    if row_ids is None:
+        row_ids = table.select(query.where)
+    row_ids = np.asarray(row_ids, dtype=np.intp)
 
     if query.is_aggregate:
-        result = _aggregate(query, rows, schema)
+        result = _aggregate(query, table, row_ids)
         if query.order_by:
             # Grouped output: order-by columns must appear in the result.
             for column, ascending in reversed(query.order_by):
                 index = result.schema.index_of(column)
-                _sort_nulls_last(result.rows, lambda r, i=index: r[i], ascending)
+                result.rows = _sort_nulls_last(
+                    result.rows, lambda r, i=index: r[i], ascending
+                )
     else:
         # Sort the source rows before projecting so ORDER BY may use
         # columns that the projection drops (standard SQL behaviour).
         if query.order_by:
+            order = row_ids.tolist()
             for column, ascending in reversed(query.order_by):
-                if not schema.has_column(column):
+                if not table.schema.has_column(column):
                     raise RelationalError(f"unknown ORDER BY column {column!r}")
-                _sort_nulls_last(rows, lambda r, c=column: r[c], ascending)
-        result = _project(query, rows, schema)
+                keys = table.columns()[column].objects.tolist()
+                order = _sort_nulls_last(order, keys.__getitem__, ascending)
+            row_ids = np.asarray(order, dtype=np.intp)
+        result = _project(query, table, row_ids)
 
     if query.limit is not None:
         result.rows = result.rows[: query.limit]
     return result
 
 
-def _sort_nulls_last(rows, key, ascending):
-    """Stable in-place sort by ``key`` with NULLs last in either direction."""
-    present = [r for r in rows if key(r) is not None]
-    absent = [r for r in rows if key(r) is None]
+def _sort_nulls_last(items, key, ascending):
+    """``items`` stably sorted by ``key``, NULLs last in either direction."""
+    # repro-lint: disable=REP012 -- ORDER BY: a stable sort by Python
+    # comparison, over the selected rows' ids or the result rows
+    present = [item for item in items if key(item) is not None]
+    # repro-lint: disable=REP012 -- the NULL-keyed rows, as above
+    absent = [item for item in items if key(item) is None]
     present.sort(key=key, reverse=not ascending)
-    rows[:] = present + absent
+    return present + absent
 
 
 # -- executor internals -------------------------------------------------------
 
 
-def _scan(base, right, join):
-    """Yield the (possibly joined) row dicts plus the combined schema."""
-    if right is None:
-        return list(base.rows_as_dicts()), base.schema
-
-    # Hash join: build on the right, probe with the left.
-    build = {}
+def _join(base, right, join):
+    """The hash-joined table: every base row, then its matching right rows."""
     right_index = right.schema.index_of(join.right_column)
+    build = {}
+    # repro-lint: disable=REP012 -- hash join build side: one pass that
+    # materializes the joined table the WHERE mask then runs over
     for row in right.rows:
         build.setdefault(row[right_index], []).append(row)
 
-    right_names = right.schema.column_names()
     joined_columns = list(base.schema.columns)
     seen = set(base.schema.column_names())
-    rename = {}
     for column in right.schema.columns:
         name = column.name
         if name in seen:
             name = f"{right.schema.name}_{column.name}"
-        rename[column.name] = name
         joined_columns.append(Column(name, column.type, column.nullable))
         seen.add(name)
-    schema = TableSchema(base.schema.name, joined_columns)
+    joined = Table(TableSchema(base.schema.name, joined_columns))
 
     rows = []
-    for left_row in base.rows_as_dicts():
-        key = left_row.get(join.left_column)
-        if key is None:
-            continue
-        for right_row in build.get(key, ()):
-            combined = dict(left_row)
-            combined.update(
-                (rename[n], v) for n, v in zip(right_names, right_row)
-            )
-            rows.append(combined)
-    return rows, schema
+    if base.schema.has_column(join.left_column):
+        left_index = base.schema.index_of(join.left_column)
+        # repro-lint: disable=REP012 -- hash join probe side (see above)
+        for left_row in base.rows:
+            key = left_row[left_index]
+            if key is None:
+                continue
+            rows.extend(left_row + right_row for right_row in build.get(key, ()))
+    joined.rows = rows
+    return joined
 
 
-def _project(query, rows, schema):
+def _project(query, table, row_ids):
+    schema = table.schema
     if query.columns == ["*"]:
         names = schema.column_names()
     else:
@@ -297,18 +321,16 @@ def _project(query, rows, schema):
                 )
     columns = [schema.column(n) for n in names]
     result = Table(TableSchema(schema.name, columns))
-    emitted = set()
-    for row in rows:
-        values = tuple(row[n] for n in names)
-        if query.distinct:
-            if values in emitted:
-                continue
-            emitted.add(values)
-        result.rows.append(values)
+    view = table.columns()
+    rows = list(zip(*(view[n].objects[row_ids].tolist() for n in names)))
+    if query.distinct:
+        rows = list(dict.fromkeys(rows))
+    result.rows = rows
     return result
 
 
-def _aggregate(query, rows, schema):
+def _aggregate(query, table, row_ids):
+    schema = table.schema
     for aggregate in query.aggregates:
         if aggregate.column != "*" and not schema.has_column(aggregate.column):
             raise RelationalError(
@@ -337,26 +359,35 @@ def _aggregate(query, rows, schema):
         )
     result = Table(TableSchema(schema.name, out_columns))
 
-    groups = {}
-    for row in rows:
-        key = tuple(row[n] for n in query.group_by)
-        groups.setdefault(key, []).append(row)
-    if not query.group_by and not groups:
-        groups[()] = []  # global aggregate over zero rows still emits one row
+    view = table.columns()
+    if query.group_by:
+        keys = zip(*(view[n].objects[row_ids].tolist() for n in query.group_by))
+        positions = {}
+        # repro-lint: disable=REP012 -- one pass over the selected rows'
+        # keys: grouping by Python equality and hashing is GROUP BY
+        for position, key in enumerate(keys):
+            positions.setdefault(key, []).append(position)
+        groups = {key: row_ids[p] for key, p in positions.items()}
+    else:
+        groups = {(): row_ids}  # a global aggregate over zero rows still emits one row
 
+    rows = []
     for key in sorted(groups, key=_null_safe_key):
-        group_rows = groups[key]
+        group_ids = groups[key]
         values = list(key)
         for aggregate in query.aggregates:
             if aggregate.column == "*":
-                column_values = [1] * len(group_rows)
+                column_values = [1] * len(group_ids)
             else:
+                # repro-lint: disable=REP012 -- the group's values as
+                # Python numbers, bools as 0.0/1.0, for Aggregate.compute
                 column_values = [
                     float(v) if isinstance(v, bool) else v
-                    for v in (r[aggregate.column] for r in group_rows)
+                    for v in view[aggregate.column].objects[group_ids].tolist()
                 ]
             values.append(aggregate.compute(column_values))
-        result.rows.append(tuple(values))
+        rows.append(tuple(values))
+    result.rows = rows
     return result
 
 

@@ -1,4 +1,4 @@
-"""Predicate expression AST.
+"""Predicate expression AST and its column masks.
 
 Predicates are built from comparisons over columns and combined with
 AND/OR/NOT.  The same AST is shared by the engine's WHERE evaluation, the
@@ -6,22 +6,48 @@ SQL generator, the privacy rewriter (which conjoins policy predicates onto
 requester queries), and the query-feature extractor (which inspects
 predicate structure to cluster queries).
 
-NULL semantics follow SQL: a comparison involving NULL is false (not an
-error), and ``IsNull`` is the explicit test.
+A predicate is evaluated a whole table at a time: :meth:`Expr.mask` maps
+a :class:`~repro.relational.table.ColumnView` to one boolean per row
+(``Table.select`` turns that into row ids).  The semantics are two-valued:
+
+* a comparison or IN test involving NULL is false (not an error), and
+  ``IsNull`` is the explicit test;
+* values compare as Python compares them: exactly across int and float
+  (``2**53 + 1 != 2.0**53``), and incomparable types (``'a' < 5``) are
+  false rather than an error — while ``'a' != 5`` is true;
+* ``NOT`` is a plain complement, so ``NOT (x = 5)`` keeps the rows where
+  ``x`` is NULL.  This is *not* SQL's three-valued logic, under which
+  those rows would be unknown and dropped.  The tracker attack
+  (:mod:`repro.statdb.tracker`) relies on it: ``C OR T`` and
+  ``C OR NOT T`` together cover the table.
+
+The row-at-a-time evaluator these masks replaced is the test oracle
+``oracle_evaluate`` (``tests/kernels/oracles.py``).
 """
 
 from __future__ import annotations
 
+import operator
+
+import numpy as np
+
 from repro.errors import RelationalError
 
-_COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_OPERATORS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 class Expr:
     """Base class for predicate expressions."""
 
-    def evaluate(self, row):
-        """Evaluate against ``row`` (a column → value mapping)."""
+    def mask(self, columns):
+        """One boolean per row of ``columns`` (a ``ColumnView``)."""
         raise NotImplementedError
 
     def columns_used(self):
@@ -60,8 +86,8 @@ class Expr:
 class _True(Expr):
     """The always-true predicate (an empty WHERE clause)."""
 
-    def evaluate(self, row):
-        return True
+    def mask(self, columns):
+        return np.ones(columns.n_rows, dtype=bool)
 
     def columns_used(self):
         return set()
@@ -85,19 +111,14 @@ class Comparison(Expr):
     __slots__ = ("column", "op", "value")
 
     def __init__(self, column, op, value):
-        if op not in _COMPARISON_OPS:
+        if op not in _OPERATORS:
             raise RelationalError(f"unknown comparison operator {op!r}")
         self.column = column
         self.op = op
         self.value = value
 
-    def evaluate(self, row):
-        if self.column not in row:
-            raise RelationalError(f"row has no column {self.column!r}")
-        left = row[self.column]
-        if left is None or self.value is None:
-            return False
-        return _apply_op(left, self.op, self.value)
+    def mask(self, columns):
+        return _comparison_mask(columns[self.column], self.op, self.value)
 
     def columns_used(self):
         return {self.column}
@@ -126,11 +147,9 @@ class IsNull(Expr):
         self.column = column
         self.negated = negated
 
-    def evaluate(self, row):
-        if self.column not in row:
-            raise RelationalError(f"row has no column {self.column!r}")
-        result = row[self.column] is None
-        return not result if self.negated else result
+    def mask(self, columns):
+        nulls = columns[self.column].nulls
+        return ~nulls if self.negated else nulls.copy()
 
     def columns_used(self):
         return {self.column}
@@ -161,13 +180,12 @@ class InList(Expr):
         self.column = column
         self.values = values
 
-    def evaluate(self, row):
-        if self.column not in row:
-            raise RelationalError(f"row has no column {self.column!r}")
-        left = row[self.column]
-        if left is None:
-            return False
-        return left in self.values
+    def mask(self, columns):
+        column = columns[self.column]
+        mask = np.zeros(columns.n_rows, dtype=bool)
+        for value in self.values:
+            mask |= _comparison_mask(column, "=", value)
+        return mask
 
     def columns_used(self):
         return {self.column}
@@ -196,8 +214,8 @@ class And(Expr):
         if not self.parts:
             self.parts = [TRUE]
 
-    def evaluate(self, row):
-        return all(p.evaluate(row) for p in self.parts)
+    def mask(self, columns):
+        return np.logical_and.reduce([p.mask(columns) for p in self.parts])
 
     def columns_used(self):
         used = set()
@@ -225,8 +243,8 @@ class Or(Expr):
         if not self.parts:
             raise RelationalError("OR requires at least one part")
 
-    def evaluate(self, row):
-        return any(p.evaluate(row) for p in self.parts)
+    def mask(self, columns):
+        return np.logical_or.reduce([p.mask(columns) for p in self.parts])
 
     def columns_used(self):
         used = set()
@@ -252,8 +270,8 @@ class Not(Expr):
     def __init__(self, part):
         self.part = part
 
-    def evaluate(self, row):
-        return not self.part.evaluate(row)
+    def mask(self, columns):
+        return ~self.part.mask(columns)
 
     def columns_used(self):
         return self.part.columns_used()
@@ -287,22 +305,38 @@ def _parenthesize(expr):
     return sql
 
 
-def _apply_op(left, op, right):
+def _comparison_mask(column, op, literal):
+    """Rows where ``cell <op> literal`` holds; NULL on either side: false."""
+    present = ~column.nulls
+    if literal is None:
+        return np.zeros_like(present)
+    mask = np.zeros_like(present)
+    mask[present] = _compare_objects(
+        column.objects[present], _OPERATORS[op], literal
+    )
+    return mask
+
+
+def _compare_objects(objects, compare, literal):
+    """Element-wise Python comparison; an incomparable pair is false."""
     try:
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
+        # Python's own float comparison with NaN raises the FPU invalid
+        # flag numpy reports after an object loop; the answer is right.
+        with np.errstate(invalid="ignore"):
+            return np.asarray(compare(objects, literal), dtype=bool)
     except TypeError:
         # SQL-style: incomparable types compare false rather than raising,
         # so privacy predicates conjoined by the rewriter never crash a scan.
+        return np.fromiter(
+            # repro-lint: disable=REP012 -- only a column Python cannot
+            # order against the literal as a whole: one pair at a time
+            (_compare_or_false(compare, value, literal) for value in objects),
+            dtype=bool, count=len(objects),
+        )
+
+
+def _compare_or_false(compare, left, right):
+    try:
+        return bool(compare(left, right))
+    except TypeError:
         return False
-    raise RelationalError(f"unknown comparison operator {op!r}")

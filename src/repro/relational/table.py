@@ -1,23 +1,29 @@
-"""In-memory tables."""
+"""In-memory tables and their column view."""
 
 from __future__ import annotations
 
-from repro.errors import SchemaError
+import numpy as np
+
+from repro.errors import RelationalError, SchemaError
 from repro.relational.schema import TableSchema
 
 
 class Table:
     """An in-memory table: a :class:`TableSchema` plus a list of row tuples.
 
-    Rows are stored as coerced tuples; :meth:`rows_as_dicts` provides the
-    mapping view that the expression evaluator and the engine operate on.
+    Rows are stored as coerced tuples.  :meth:`columns` is the columnar
+    view predicates are evaluated over (:meth:`select`); it is built on
+    first use and dropped by every mutation made through the table —
+    :meth:`insert` and assigning :attr:`rows`.  Code that edits the row
+    list in place must assign it back.
     """
 
     def __init__(self, schema, rows=None):
         if not isinstance(schema, TableSchema):
             raise SchemaError("Table requires a TableSchema")
         self.schema = schema
-        self.rows = []
+        self._rows = []
+        self._columns = None
         for row in rows or []:
             self.insert(row)
 
@@ -56,9 +62,20 @@ class Table:
         """Table name (from the schema)."""
         return self.schema.name
 
+    @property
+    def rows(self):
+        """The row tuples, in insertion order."""
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows):
+        self._rows = rows
+        self._columns = None
+
     def insert(self, row):
         """Insert one row (sequence or mapping), validating against schema."""
-        self.rows.append(self.schema.coerce_row(row))
+        self._rows.append(self.schema.coerce_row(row))
+        self._columns = None
 
     def insert_many(self, rows):
         """Insert every row of ``rows``."""
@@ -76,6 +93,17 @@ class Table:
         index = self.schema.index_of(name)
         return [row[index] for row in self.rows]
 
+    def columns(self):
+        """The :class:`ColumnView` of the current rows (built once)."""
+        view = self._columns
+        if view is None:
+            view = self._columns = ColumnView(self.schema, self._rows)
+        return view
+
+    def select(self, where):
+        """Ids (ascending ``int64``) of the rows satisfying ``where``."""
+        return np.flatnonzero(where.mask(self.columns()))
+
     def __len__(self):
         return len(self.rows)
 
@@ -84,6 +112,44 @@ class Table:
 
     def __repr__(self):
         return f"Table({self.schema.name!r}, rows={len(self.rows)})"
+
+
+class ColumnData:
+    """One column: its stored Python values and their NULL mask.
+
+    ``objects`` (object dtype, ``None`` for NULL) is what comparisons,
+    projections, group keys and aggregates read; numpy applies Python's
+    own comparison to each element, so a mask agrees with Python exactly
+    across int, float, bool and text.
+    """
+
+    __slots__ = ("objects", "nulls")
+
+    def __init__(self, values):
+        n = len(values)
+        self.objects = np.empty(n, dtype=object)
+        self.objects[:] = values
+        self.nulls = np.fromiter((v is None for v in values), bool, n)
+
+
+class ColumnView:
+    """Every column of a table as :class:`ColumnData`, by name."""
+
+    __slots__ = ("n_rows", "_data")
+
+    def __init__(self, schema, rows):
+        self.n_rows = len(rows)
+        names = schema.column_names()
+        cells = list(zip(*rows)) if rows else [() for _ in names]
+        self._data = {
+            name: ColumnData(list(values)) for name, values in zip(names, cells)
+        }
+
+    def __getitem__(self, name):
+        data = self._data.get(name)
+        if data is None:
+            raise RelationalError(f"row has no column {name!r}")
+        return data
 
 
 def _infer_type(dict_rows, name):

@@ -244,8 +244,14 @@ class RemoteSource:
                 where=query.where.and_(self.consent_predicate)
             )
 
+        # One predicate pass serves the §4 defenses and execution.  Only
+        # aggregates run defenses, so only they select here; a projection
+        # selects inside ``execute``, after the optimizer's budget check.
+        row_ids = None
         with telemetry.span("source.sequence_defenses"):
-            self._sequence_defenses(query, techniques)
+            if query.is_aggregate:
+                row_ids = self.table.select(query.where)
+                self._sequence_defenses(query, techniques, row_ids)
 
         with telemetry.span("source.loss_and_plan") as span:
             estimate = self.loss_estimator.estimate(
@@ -262,7 +268,7 @@ class RemoteSource:
                      selectivity=selectivity, strategy=plan.strategy)
 
         with telemetry.span("source.execute"):
-            result = execute(query, self.catalog)
+            result = execute(query, self.catalog, row_ids=row_ids)
         with telemetry.span("source.techniques") as span:
             result, applied = self._apply_techniques(result, query, techniques)
             if self.output_mechanism is not None and query.is_aggregate:
@@ -376,9 +382,6 @@ class RemoteSource:
             cluster = self.clusterer.match(features)
             techniques = cluster.techniques
 
-        with telemetry.span("source.sequence_defenses"):
-            self._sequence_defenses(query, techniques)  # non-aggregate: no-op
-
         with telemetry.span("source.loss_and_plan") as span:
             estimate = self.loss_estimator.estimate(
                 rewrite, features, techniques
@@ -425,11 +428,10 @@ class RemoteSource:
 
     # -- defenses and techniques ----------------------------------------------
 
-    def _sequence_defenses(self, query, techniques):
-        if not query.is_aggregate:
-            return
+    def _sequence_defenses(self, query, techniques, row_ids):
+        """Set size, overlap and audit over an aggregate's query set."""
         names = {t.name for t in techniques}
-        query_set = self._query_set(query)
+        query_set = row_ids.tolist()
         if not query_set:
             raise PrivacyViolation(f"{self.name}: empty query set")
         if "set-size-control" in names:
@@ -441,12 +443,6 @@ class RemoteSource:
         )
         if "audit-trail" in names and sums_private:
             self.auditor.check_and_record(query_set)
-
-    def _query_set(self, query):
-        return [
-            i for i, row in enumerate(self.table.rows_as_dicts())
-            if query.where.evaluate(row)
-        ]
 
     def _apply_techniques(self, result, query, techniques):
         applied = []

@@ -66,8 +66,7 @@ class ProtectedStatDB:
         output_perturbation=None,
     ):
         self.table = table
-        self._rows = list(table.rows_as_dicts())
-        n = len(self._rows)
+        n = len(table)
         self.set_size = (
             SetSizeControl(min_set_size, n, restrict_complement)
             if min_set_size
@@ -82,11 +81,11 @@ class ProtectedStatDB:
     @property
     def n_records(self):
         """Number of records in the protected table."""
-        return len(self._rows)
+        return len(self.table)
 
     def query_set(self, predicate):
         """Indices of records satisfying ``predicate``."""
-        return [i for i, row in enumerate(self._rows) if predicate.evaluate(row)]
+        return self.table.select(predicate).tolist()
 
     def answer(self, query, requester="anonymous"):
         """Answer ``query`` or raise a privacy error.
@@ -157,13 +156,12 @@ class ProtectedStatDB:
         return total / len(query_set)
 
     def _column_values(self, column):
-        values = []
-        for row in self._rows:
-            if column not in row:
-                raise ReproError(f"table has no column {column!r}")
-            value = row[column]
-            values.append(0.0 if value is None else float(value))
-        return values
+        if not self.table.schema.has_column(column):
+            raise ReproError(f"table has no column {column!r}")
+        return [
+            0.0 if value is None else float(value)
+            for value in self.table.column_values(column)
+        ]
 
 
 def _is_sampler(perturbation):

@@ -3,7 +3,8 @@
 Each oracle is the original per-row Python implementation of a kernel
 that production now runs vectorized — the §5 loss fixed point, k-anonymity
 class counting, the full-domain lattice search, Mondrian partitioning,
-Laplace noise draws, and the Figure 1 SLSQP constraint sweep.  They live
+Laplace noise draws, the Figure 1 SLSQP constraint sweep, the WHERE
+predicate evaluator, and the Chin–Özsoyoğlu SUM audit trail.  They live
 here, not in ``src/``, so production carries one implementation per kernel
 and the differential suite (``test_differential.py``) and the KERN bench
 (``benchmarks/bench_kernels.py``) compare the two on the same seeded
@@ -15,10 +16,26 @@ driver ``_optimize``, the winning-node materialization
 ``FullDomainGeneralizer._try_node`` and the generalization lattice.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
-from repro.errors import PrivacyViolation, ReproError
+from repro.errors import (
+    AuditRefusal,
+    PrivacyViolation,
+    RelationalError,
+    ReproError,
+)
 from repro.inference.bounds import _optimize
+from repro.relational.expr import (
+    And,
+    Comparison,
+    InList,
+    IsNull,
+    Not,
+    Or,
+    _True,
+)
 
 
 # -- §5 loss aggregation and budget enforcement --------------------------------
@@ -301,3 +318,185 @@ def _build_constraints(constraints, index_of):
             - (m - np.mean(v[list(idx)]))
         )})
     return cons
+
+
+# -- WHERE predicates ----------------------------------------------------------
+
+def oracle_evaluate(expr, row):
+    """Row-at-a-time reference for ``Expr.mask``: ``row`` is a name → value dict.
+
+    The ``evaluate`` methods of the predicate AST, one branch per node.
+    """
+    if isinstance(expr, _True):
+        return True
+    if isinstance(expr, Comparison):
+        if expr.column not in row:
+            raise RelationalError(f"row has no column {expr.column!r}")
+        left = row[expr.column]
+        if left is None or expr.value is None:
+            return False
+        return _apply_op(left, expr.op, expr.value)
+    if isinstance(expr, IsNull):
+        if expr.column not in row:
+            raise RelationalError(f"row has no column {expr.column!r}")
+        result = row[expr.column] is None
+        return not result if expr.negated else result
+    if isinstance(expr, InList):
+        if expr.column not in row:
+            raise RelationalError(f"row has no column {expr.column!r}")
+        left = row[expr.column]
+        if left is None:
+            return False
+        return left in expr.values
+    if isinstance(expr, And):
+        return all(oracle_evaluate(p, row) for p in expr.parts)
+    if isinstance(expr, Or):
+        return any(oracle_evaluate(p, row) for p in expr.parts)
+    if isinstance(expr, Not):
+        return not oracle_evaluate(expr.part, row)
+    raise TypeError(f"not a predicate: {expr!r}")
+
+
+def oracle_select(table, expr):
+    """Ids of the rows of ``table`` satisfying ``expr``, row by row."""
+    return [i for i, row in enumerate(table.rows_as_dicts())
+            if oracle_evaluate(expr, row)]
+
+
+def _apply_op(left, op, right):
+    try:
+        if op == "=":
+            return left == right
+        if op == "!=":
+            return left != right
+        if op == "<":
+            return left < right
+        if op == "<=":
+            return left <= right
+        if op == ">":
+            return left > right
+        if op == ">=":
+            return left >= right
+    except TypeError:
+        # SQL-style: incomparable types compare false rather than raising,
+        # so privacy predicates conjoined by the rewriter never crash a scan.
+        return False
+    raise RelationalError(f"unknown comparison operator {op!r}")
+
+
+# -- SUM audit trail -----------------------------------------------------------
+
+def oracle_sum_auditor(n_records):
+    """Dense reference for ``SumAuditor``: full RREF over ``Fraction`` rows."""
+    return _DenseSumAuditor(n_records)
+
+
+class _DenseSumAuditor:
+    """Audit trail over a fixed population of ``n_records`` records."""
+
+    def __init__(self, n_records):
+        if n_records < 1:
+            raise ReproError("auditor needs a positive record count")
+        self.n_records = n_records
+        self._basis = []  # reduced (echelon) basis of answered query vectors
+        self.answered = []  # original query sets, for inspection
+
+    def would_compromise(self, query_set):
+        """True when answering ``query_set`` lets some record be isolated.
+
+        ``query_set`` is an iterable of record indices in
+        ``[0, n_records)``.
+        """
+        vector = self._to_vector(query_set)
+        basis = [row[:] for row in self._basis]
+        _insert(basis, vector)
+        return self._compromised_indices(basis) != []
+
+    def check_and_record(self, query_set):
+        """Record the query if safe; raise :class:`AuditRefusal` otherwise."""
+        vector = self._to_vector(query_set)
+        candidate = [row[:] for row in self._basis]
+        _insert(candidate, vector)
+        exposed = self._compromised_indices(candidate)
+        if exposed:
+            # The refusal names *how many* records would be isolated,
+            # never which: refusal text travels into events and reports,
+            # and a record index is exactly the identity the audit
+            # exists to protect.
+            raise AuditRefusal(
+                f"answering would expose {len(exposed)} record(s) "
+                f"(audit trail of {len(self.answered)} queries)"
+            )
+        self._basis = candidate
+        self.answered.append(frozenset(query_set))
+
+    def compromised_now(self):
+        """Records already derivable from the answered queries (should be [])."""
+        return self._compromised_indices(self._basis)
+
+    def _to_vector(self, query_set):
+        indices = set(query_set)
+        if not indices:
+            raise ReproError("query set must be non-empty")
+        bad = [i for i in indices if not 0 <= i < self.n_records]
+        if bad:
+            raise ReproError(
+                f"{len(bad)} query set index(es) out of range "
+                f"[0, {self.n_records})"
+            )
+        return [Fraction(1 if i in indices else 0) for i in range(self.n_records)]
+
+    def _compromised_indices(self, basis):
+        """Unit vectors representable in the span of ``basis``.
+
+        After :func:`_insert` keeps the basis in reduced row echelon form,
+        a unit vector is in the span iff some basis row *is* a unit vector.
+        """
+        exposed = []
+        for row in basis:
+            support = [i for i, value in enumerate(row) if value != 0]
+            if len(support) == 1:
+                exposed.append(support[0])
+        return exposed
+
+
+def _insert(basis, vector):
+    """Insert ``vector`` into an RREF ``basis`` (in place).
+
+    Maintains reduced row echelon form: each row has a leading 1 whose
+    column is zero in every other row.
+    """
+    row = vector[:]
+    for existing in basis:
+        pivot = _pivot(existing)
+        if row[pivot] != 0:
+            factor = row[pivot]
+            for i in range(len(row)):
+                row[i] -= factor * existing[i]
+    pivot = _first_nonzero(row)
+    if pivot is None:
+        return  # linearly dependent on what we already answered
+    lead = row[pivot]
+    row = [value / lead for value in row]
+    # Back-eliminate the new pivot column from existing rows.
+    for existing in basis:
+        factor = existing[pivot]
+        if factor != 0:
+            for i in range(len(existing)):
+                existing[i] -= factor * row[i]
+    basis.append(row)
+    basis.sort(key=_pivot)
+
+
+def _pivot(row):
+    index = _first_nonzero(row)
+    if index is None:
+        raise ReproError("zero row in audit basis")
+    return index
+
+
+def _first_nonzero(row):
+    for i, value in enumerate(row):
+        if value != 0:
+            return i
+    return None

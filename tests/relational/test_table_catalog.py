@@ -1,9 +1,19 @@
 """Unit tests for tables and catalogs."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import RelationalError, SchemaError
-from repro.relational import Catalog, Column, ColumnType, Table, TableSchema
+from repro.relational import (
+    Catalog,
+    Column,
+    ColumnType,
+    Comparison,
+    Table,
+    TableSchema,
+)
 
 
 class TestTable:
@@ -51,6 +61,54 @@ class TestTable:
         table = Table(TableSchema("t", [Column("a", "int")]))
         table.insert_many([[1], [2], [3]])
         assert len(table) == 3
+
+
+class TestColumnView:
+    @staticmethod
+    def table(n=3):
+        return Table(TableSchema("t", [Column("a", "int")]), [[i] for i in range(n)])
+
+    def test_mutation_drops_the_view(self):
+        table = self.table()
+        assert table.select(Comparison("a", "=", 3)).tolist() == []
+        table.insert([3])
+        assert table.select(Comparison("a", "=", 3)).tolist() == [3]
+        table.rows = table.rows[2:]
+        assert table.select(Comparison("a", "=", 3)).tolist() == [1]
+
+    def test_unknown_column_raises(self):
+        with pytest.raises(RelationalError):
+            self.table().select(Comparison("b", "=", 1))
+
+    def test_concurrent_first_use_builds_one_consistent_view(self):
+        # Fan-out workers may select on a source's table at once; the
+        # lazy view is built from rows nobody mutates, so every thread
+        # must see the same ids whichever build wins.
+        table = self.table(500)
+        predicate = Comparison("a", "<", 250)
+        results, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(40):
+                    results.append(table.select(predicate).tolist())
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 8 * 40
+        assert all(ids == list(range(250)) for ids in results)
 
 
 class TestCatalog:

@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from repro.errors import PrivacyViolation, ReproError
-from repro.relational import Comparison
+from repro.relational import TRUE, Comparison, Not, Or, Table
 from repro.statdb import (
     ProtectedStatDB,
     RandomSampleQueries,
@@ -214,3 +214,54 @@ class TestTrackerAttack:
         truth = true_value(db, self.victim(), func="sum", column="salary")
         assert result.succeeded  # answered, but wrong
         assert result.inferred_value != pytest.approx(truth, rel=0.001)
+
+
+class TestTrackerIdentityWithNulls:
+    """``q(C OR T) + q(C OR NOT T) = q(ALL) + q(C)`` holds with NULLs in T.
+
+    ``NOT`` is a plain complement (not SQL's three-valued logic), so
+    ``T`` and ``NOT T`` partition the table even where the tracker
+    column is NULL — the identity the tracker attack is built on.
+    """
+
+    @staticmethod
+    def table():
+        rows = [
+            {"id": i,
+             "dept": None if i % 4 == 1 else ("sales" if i % 3 else "exec"),
+             "salary": 1000.0 + 100.0 * i}
+            for i in range(30)
+        ]
+        return Table.from_dicts("salaries", rows, types={"dept": "text"})
+
+    def test_not_tracker_keeps_the_null_rows(self):
+        db = ProtectedStatDB(self.table())
+        tracker = tracker_predicate()
+        nulls = {i for i in range(30) if i % 4 == 1}
+        assert nulls <= set(db.query_set(Not(tracker)))
+        assert sorted(db.query_set(tracker) + db.query_set(Not(tracker))) == (
+            list(range(30)))
+
+    @pytest.mark.parametrize("func, column", [("count", None),
+                                              ("sum", "salary")])
+    def test_identity_holds(self, func, column):
+        db = ProtectedStatDB(self.table())
+        target, tracker = victim_predicate(), tracker_predicate()
+
+        def answer(predicate):
+            return db.answer(StatQuery(func, column, predicate))
+
+        left = answer(Or([target, tracker])) + answer(Or([target, Not(tracker)]))
+        truth = true_value(db, target, func=func, column=column)
+        assert left == pytest.approx(answer(TRUE) + truth)
+
+    def test_attack_recovers_the_victim_past_null_trackers(self):
+        db = ProtectedStatDB(self.table(), min_set_size=3,
+                             restrict_complement=False)
+        result = individual_tracker_attack(
+            db, victim_predicate(), tracker_predicate(), func="sum",
+            column="salary",
+        )
+        assert result.succeeded
+        assert result.inferred_value == pytest.approx(
+            true_value(db, victim_predicate(), func="sum", column="salary"))
