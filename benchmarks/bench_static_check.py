@@ -23,8 +23,9 @@ best of 5)::
            8     50ms  concurrent-off         51.9ms    74.3x
            8     50ms  sequential-off        403.5ms   577.3x
 
-The static path is pure computation (transform → policy → dry-run
-rewrite → loss estimate per source), so its cost is microseconds per
+The static path is pure computation (each source's compiled plan:
+transform → policy → rewrite, then the loss estimate), so its cost is
+microseconds per
 source and *independent of source latency*; the saved wall-clock grows
 with both source count and latency.
 

@@ -4,11 +4,13 @@ The paper's enforcement is *rewrite-then-execute*: every privacy verdict
 (policy grants, loss budgets, statistical-database guards) is computable
 from the query and policies alone — except the few that depend on data
 or history.  :class:`PlanAnalyzer` exploits that split.  For each source
-of a fragmentation plan it runs the *actual runtime components* up to —
-but excluding — execution:
+of a fragmentation plan it interprets the source's own compiled plan
+(:meth:`repro.source.server.RemoteSource.prepare`: transform → policy
+decisions → rewrite → consent fold → features) with the *actual runtime
+components* up to — but excluding — execution:
 
-    transform → policy decisions → rewrite (dry run) → features
-              → cluster peek → loss estimate → budget comparison
+    source plan → taint labels → cluster peek → loss estimate
+                → budget comparison → decidable sequence defenses
 
 and classifies the source as statically **answering**, statically
 **refusing** (with the same exception kind and message the source would
@@ -57,9 +59,8 @@ from repro.errors import (
     ReproError,
 )
 from repro.metrics.privacy_loss import budget_fixed_point, compound_loss
-from repro.policy.matching import combine, evaluate_request
-from repro.query.features import extract_features, features_with_budget
-from repro.query.language import piql_without_maxloss, to_piql
+from repro.query.features import features_with_budget
+from repro.query.language import to_piql
 
 #: Verdicts, ordered SAFE > RUNTIME_CHECK > REFUSE (certainty of answering).
 SAFE = "SAFE"
@@ -152,7 +153,7 @@ class PlanAnalyzer:
     """Taint-tracking abstract interpreter over fragmentation plans."""
 
     def __init__(self, cache=None):
-        # Tier-2b of repro.cache: per-source dry-run outcomes, memoized
+        # Tier-2b of repro.cache: per-source static outcomes, memoized
         # on everything the interpretation reads (fragment text,
         # principal, policy-store version, table size, overlap state).
         # Duck-typed (anything with get/put, e.g. an LRUCache) and
@@ -161,7 +162,7 @@ class PlanAnalyzer:
         self.cache = cache
 
     def analyze(self, query, plan, sources, requester=None, role=None,
-                subjects=(), shared=None):
+                subjects=(), memos=None):
         """Statically check ``plan`` (a :class:`FragmentPlan`) for ``query``.
 
         ``sources`` maps source name → :class:`RemoteSource` (the
@@ -169,23 +170,18 @@ class PlanAnalyzer:
         :class:`AccessDenied` when RBAC blocks the requester, exactly as
         the runtime pipeline would (fail fast, before privacy checks).
 
-        ``shared`` is a batch-scoped dict (``pose_many``): within one
-        batch the interpretation *prefix* — transform, policy
-        decisions, taint labels, dry-run rewrite, consent fold — is
-        memoized per (source, MAXLOSS-stripped fragment, principal,
-        policy version), because none of it reads MAXLOSS.  Everything
-        MAXLOSS-sensitive (features, cluster peek, loss estimate, the
-        budget comparison) still runs per query, and the persistent
-        tier-2b memo is still written under the full per-query key, so
-        the cache ends a batch in the identical state a query-at-a-time
-        caller would have left.
+        ``memos`` maps source name → the per-pose plan memo the engine
+        also hands that source's ``answer``: a plan compiled here is the
+        one the source then executes (see
+        :meth:`repro.source.server.RemoteSource.prepare`).
         """
         started = time.perf_counter()
         outcomes = []
         for name in plan.sources:
             outcomes.append(self._analyze_source(
                 sources[name], name, plan.fragments[name],
-                requester, role, subjects, shared,
+                requester, role, subjects,
+                None if memos is None else memos[name],
             ))
         verdict = self._combine(query, outcomes)
         verdict.analysis_ms = (time.perf_counter() - started) * 1000.0
@@ -194,7 +190,7 @@ class PlanAnalyzer:
     # -- per-source abstract interpretation --------------------------------
 
     def _analyze_source(self, remote, name, fragment, requester, role,
-                        subjects, shared=None):
+                        subjects, memo=None):
         key = self._outcome_key(remote, name, fragment, requester, role,
                                 subjects)
         if key is not None:
@@ -203,7 +199,7 @@ class PlanAnalyzer:
                 return outcome
         try:
             outcome = self._interpret(remote, name, fragment, requester,
-                                      role, subjects, shared)
+                                      role, subjects, memo)
         except AccessDenied:
             raise  # runtime fails fast on RBAC; the gate must too
         except (PrivacyViolation, PathError) as error:
@@ -253,141 +249,43 @@ class PlanAnalyzer:
                 version, table_rows, overlap_armed)
 
     def _interpret(self, remote, name, fragment, requester, role, subjects,
-                   shared=None):
-        key = self._share_key(remote, name, fragment, requester, role,
-                              subjects) if shared is not None else None
-        labels, rewrite, query, view = self._interpret_prefix(
-            remote, name, fragment, requester, role, subjects, shared, key
-        )
-
-        if key is not None:
-            # Features share the prefix key: only requested_loss_budget
-            # reads MAXLOSS, and it is stamped on per query below.
-            features_key = ("static-features",) + key[1:]
-            base = shared.get(features_key)
-            if base is None:
-                base = shared[features_key] = extract_features(
-                    fragment, view
-                )
-            features = features_with_budget(base, fragment.max_loss)
-        else:
-            features = extract_features(fragment, view)
+                   memo=None):
+        # prepare raises the AccessDenied / PrivacyViolation the runtime
+        # would, caught by _analyze_source above.
+        plan = remote.prepare(fragment, requester, role, subjects, memo=memo)
+        # labels are a pure function of the plan: one per plan per pose
+        labels_of = {} if memo is None else memo.setdefault("labels", {})
+        labels = labels_of.get(plan.key)
+        if labels is None:
+            labels = labels_of[plan.key] = taint.label_source_query(
+                name, plan.transform.query, plan.transform.column_of_path,
+                plan.decisions,
+            )
+        features = features_with_budget(plan.features, fragment.max_loss)
         techniques = remote.clusterer.peek(features)
-
-        runtime_checks = self._sequence_defense_checks(
-            remote, name, query, techniques
-        )
-
-        estimate = remote.loss_estimator.estimate(rewrite, features,
+        estimate = remote.loss_estimator.estimate(plan.rewrite, features,
                                                   techniques)
-        budget = min(fragment.max_loss, rewrite.loss_budget)
-        if not estimate.within_budget(budget):
-            # Mirror the optimizer's pre-execution refusal verbatim so a
-            # static REFUSE reads identically to the runtime one.
+        # The budget is checked before the decidable sequence defenses,
+        # in the runtime's order, with the optimizer's own refusal.
+        try:
+            remote.optimizer.check_budget(plan.rewrite, estimate,
+                                          fragment.max_loss)
+        except PrivacyViolation as refusal:
             return SourceStaticOutcome(
                 name, REFUSES, labels=labels,
-                refusal_kind="PrivacyViolation",
-                refusal_reason=(
-                    f"estimated privacy loss {estimate.privacy_loss:.3f} "
-                    f"exceeds budget {budget:.3f}; refusing before execution"
-                ),
+                refusal_kind=type(refusal).__name__,
+                refusal_reason=str(refusal),
             )
 
-        if runtime_checks:
-            return SourceStaticOutcome(
-                name, RUNTIME, loss=estimate.privacy_loss,
-                budget=rewrite.loss_budget, labels=labels,
-                runtime_checks=runtime_checks,
-            )
+        runtime_checks = self._sequence_defense_checks(
+            remote, name, plan.query, techniques
+        )
+        status = RUNTIME if runtime_checks else ANSWERS
         return SourceStaticOutcome(
-            name, ANSWERS, loss=estimate.privacy_loss,
-            budget=rewrite.loss_budget, labels=labels,
+            name, status, loss=estimate.privacy_loss,
+            budget=plan.rewrite.loss_budget, labels=labels,
+            runtime_checks=runtime_checks,
         )
-
-    def _share_key(self, remote, name, fragment, requester, role, subjects):
-        """The batch sharing key for one source interpretation, or None.
-
-        Pins the MAXLOSS-stripped fragment, the principal, and the
-        source's policy version — everything the MAXLOSS-independent
-        prefix (and the feature base) reads.
-        """
-        version = getattr(
-            getattr(remote, "policy_store", None), "version", None
-        )
-        if not isinstance(version, int):
-            return None
-        return ("static", name, piql_without_maxloss(fragment),
-                requester, role, tuple(subjects), version)
-
-    def _interpret_prefix(self, remote, name, fragment, requester, role,
-                          subjects, shared=None, key=None):
-        """The MAXLOSS-independent head of one source interpretation.
-
-        Transform → policy decisions → taint labels → dry-run rewrite →
-        consent fold, none of which reads ``fragment.max_loss``.  With a
-        batch-scoped ``shared`` dict the whole head — including any
-        refusal it raises — is computed once per (source,
-        MAXLOSS-stripped fragment, principal, policy version) and
-        replayed for the batch's MAXLOSS variants.  Refusals replay as
-        the *same* exception object: :meth:`_analyze_source` only reads
-        its type and message, both immutable.
-        """
-        if shared is None:
-            key = None
-        elif key is None:
-            key = self._share_key(remote, name, fragment, requester, role,
-                                  subjects)
-        if key is not None:
-            cached = shared.get(key)
-            if cached is not None:
-                kind, payload = cached
-                if kind == "error":
-                    raise payload
-                return payload
-        try:
-            prefix = self._interpret_head(remote, name, fragment, requester,
-                                          role, subjects)
-        except Exception as error:
-            if key is not None:
-                shared[key] = ("error", error)
-            raise
-        if key is not None:
-            shared[key] = ("ok", prefix)
-        return prefix
-
-    def _interpret_head(self, remote, name, fragment, requester, role,
-                        subjects):
-        transform = remote.transformer.transform(fragment)
-
-        purpose = fragment.purpose or "research"
-        decisions = {}
-        for path_repr, column in sorted(transform.column_of_path.items()):
-            decision = evaluate_request(
-                remote.policy_store, name, path_repr, purpose,
-                role=role, subjects=subjects,
-            )
-            if column in decisions:
-                decisions[column] = combine(decisions[column], decision)
-            else:
-                decisions[column] = decision
-
-        labels = taint.label_source_query(
-            name, transform.query, transform.column_of_path, decisions
-        )
-
-        # dry_run raises the same AccessDenied / PrivacyViolation the
-        # runtime rewrite would, caught by _analyze_source above.
-        rewrite = remote.rewriter.dry_run(transform.query, decisions,
-                                          requester)
-
-        view = remote.policy_store.view_for(name)
-
-        query = rewrite.query
-        if remote.consent_predicate is not None:
-            query = query.replace(
-                where=query.where.and_(remote.consent_predicate)
-            )
-        return labels, rewrite, query, view
 
     def _sequence_defense_checks(self, remote, name, query, techniques):
         """Statically resolve ``RemoteSource._sequence_defenses``.

@@ -11,7 +11,7 @@ This package is that key discipline, in three tiers:
   once per ``pose()``; fragmentation plans memoize behind it;
 * **tier 2 — static verdicts and rewrites**
   (:mod:`repro.cache.mediation`): plan-check verdicts (including final
-  REFUSEs) and per-source dry-run outcomes;
+  REFUSEs) and per-source static outcomes;
 * **tier 3 — epoch-invalidated answers**: the
   :class:`~repro.mediator.warehouse.Warehouse` stores integrated
   results tagged with the epoch vector (:mod:`repro.cache.epochs`) they

@@ -10,7 +10,7 @@ One :class:`MediationCache` instance rides inside a
   ``REFUSE`` is replayed identically, which is sound because refusals
   are final (PR 2's invariant) and the fingerprint already pins the
   policy epoch they were decided under;
-* **tier 2b — rewrites**: per-source dry-run outcomes, shared with the
+* **tier 2b — rewrites**: per-source static outcomes, shared with the
   :class:`~repro.analysis.plancheck.PlanAnalyzer` so distinct plans
   touching the same (source, fragment, principal, policy-version) reuse
   the per-source interpretation;

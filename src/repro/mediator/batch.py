@@ -14,24 +14,24 @@ path a looped ``pose()`` would take.
 
 The shared tiers:
 
-* ``static_shared`` — the plan analyzer's per-source interpretation
-  prefix (transform → decisions → taint labels → dry-run rewrite),
-  keyed on everything the prefix reads *except* MAXLOSS (see
-  :meth:`repro.analysis.plancheck.PlanAnalyzer.analyze`);
-* per-source dicts handed to :meth:`repro.source.server.RemoteSource
-  .answer` as ``shared=`` — the source pipeline's MAXLOSS-independent
-  stages for non-aggregate fragments (aggregates always run the full
-  pipeline: their defenses and perturbation are stateful);
+* per-source plan memos (``shared[name]``), handed to the static
+  gate and to :meth:`repro.source.server.RemoteSource.answer` as
+  ``shared=``: one :class:`~repro.source.server.SourcePlan` per
+  (MAXLOSS-stripped fragment, principal, policy version), whoever
+  compiles it first, plus nested tiers (selectivities, record-level
+  documents, taint labels); a lone ``pose()`` gets fresh ones;
 * ``integrate_memo`` — integration output per (mediated-name mapping,
   aggregate flag, exact response documents); every query gets fresh
   row dicts so results stay independently mutable.
 
 ``shared=`` is part of the source ``answer`` interface: every source
-(and every test double standing in for one) accepts it, and a plain
-``pose()`` passes ``shared=None``.
+(and every test double standing in for one) accepts it; direct callers
+outside the engine pass ``shared=None``.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 
 class PoseOutcome:
@@ -79,12 +79,10 @@ class BatchContext:
     accounting contract above is untouched.
     """
 
-    __slots__ = ("static_shared", "integrate_memo", "retained",
-                 "_source_shared", "trace")
+    __slots__ = ("integrate_memo", "retained", "shared", "trace")
 
     def __init__(self, trace=None):
         self.trace = trace
-        self.static_shared = {}
         # repro-lint: disable=REP007 -- batch-scoped, not a long-lived
         # cache: the memo lives exactly as long as one pose_many() call,
         # is bounded by the batch size, and must not survive into the
@@ -93,8 +91,6 @@ class BatchContext:
         # Response documents referenced (by id) in integrate_memo keys:
         # pinned here so an id can never be recycled mid-batch.
         self.retained = []
-        self._source_shared = {}
-
-    def shared_for(self, name):
-        """The per-source sharing dict handed to ``answer(shared=...)``."""
-        return self._source_shared.setdefault(name, {})
+        # source name → that source's per-batch plan memo, handed to the
+        # static gate and to ``answer(shared=...)`` alike
+        self.shared = defaultdict(dict)

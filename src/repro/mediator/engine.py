@@ -28,6 +28,8 @@ With ``persistence=None`` (the default) the query path carries a single
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from repro.analysis.plancheck import REFUSE, resolve_static_check
 from repro.cache import canonical_piql, plan_fingerprint, resolve_cache
 from repro.errors import (
@@ -445,10 +447,14 @@ class MediationEngine:
         }
         report.set_cache(cache_info)
 
+        # One plan memo per source for this pose (the batch's, across a
+        # pose_many): whichever of the static gate and the source
+        # compiles a source's plan first, the other reuses it.
+        memos = batch.shared if batch is not None else defaultdict(dict)
         if self.static_analyzer is not None:
             self._static_gate(query, plan, requester, role, subjects,
                               use_warehouse, report, fingerprint,
-                              cache_info, batch)
+                              cache_info, memos)
 
         if use_warehouse:
             with telemetry.span("mediator.warehouse") as span:
@@ -457,7 +463,7 @@ class MediationEngine:
                         fingerprint,
                         lambda: self._compute(
                             query, plan, requester, role, subjects, report,
-                            batch,
+                            batch, memos,
                         ),
                         n_sources=len(plan.sources),
                         emergency=emergency,
@@ -478,7 +484,8 @@ class MediationEngine:
             cache_info["answer"] = "hit" if stats.from_cache else "miss"
         else:
             result = self._compute(
-                query, plan, requester, role, subjects, report, batch
+                query, plan, requester, role, subjects, report, batch,
+                memos,
             )
         report.set_cache(cache_info)
 
@@ -516,7 +523,7 @@ class MediationEngine:
 
     def _static_gate(self, query, plan, requester, role, subjects,
                      use_warehouse, report, fingerprint, cache_info,
-                     batch=None):
+                     memos=None):
         """Run the pre-dispatch plan analyzer; raise on a REFUSE verdict.
 
         A ``REFUSE`` is raised with the same exception type — and a
@@ -530,25 +537,20 @@ class MediationEngine:
         """
         telemetry = self.telemetry
         cache = self.cache
-        shared = batch.static_shared if batch is not None else None
+
+        def analyze():
+            return self.static_analyzer.analyze(
+                query, plan, self.sources,
+                requester=requester, role=role, subjects=subjects,
+                memos=memos,
+            )
+
         with telemetry.span("mediator.static_check",
                             n_sources=len(plan.sources)) as span:
             if cache is not None:
-                verdict, cached = cache.static_verdict(
-                    fingerprint,
-                    lambda: self.static_analyzer.analyze(
-                        query, plan, self.sources,
-                        requester=requester, role=role, subjects=subjects,
-                        shared=shared,
-                    ),
-                )
+                verdict, cached = cache.static_verdict(fingerprint, analyze)
             else:
-                verdict = self.static_analyzer.analyze(
-                    query, plan, self.sources,
-                    requester=requester, role=role, subjects=subjects,
-                    shared=shared,
-                )
-                cached = False
+                verdict, cached = analyze(), False
             span.set(verdict=verdict.verdict, cached=cached)
         report.set_static(verdict)
         cache_info["static"] = self._tier_outcome(cache, cached)
@@ -582,7 +584,7 @@ class MediationEngine:
         raise PrivacyViolation(verdict.reason)
 
     def _compute(self, query, plan, requester, role, subjects, report=None,
-                 batch=None):
+                 batch=None, memos=None):
         telemetry = self.telemetry
         if report is None:
             # direct callers (tests, warehouse refresh) skip the ledger
@@ -593,8 +595,7 @@ class MediationEngine:
             return self.sources[source_name].answer(
                 plan.fragments[source_name],
                 requester=requester, role=role, subjects=subjects,
-                shared=(batch.shared_for(source_name)
-                        if batch is not None else None),
+                shared=None if memos is None else memos[source_name],
             )
 
         dispatcher = self.dispatcher
@@ -666,7 +667,7 @@ class MediationEngine:
         and the plan's mediated-name mapping — the Bloom-filter dedup is
         deterministic and ``untag_results`` builds fresh row dicts —
         so a batch whose MAXLOSS variants produced the *same* documents
-        (shared by :meth:`RemoteSource._answer_batched`) can reuse the
+        (shared through the sources' per-pose memos) can reuse the
         integrated rows.  Every query still gets its own row-dict
         copies, keeping results independently mutable, and the privacy
         control + MAXLOSS check downstream run per query regardless.

@@ -86,8 +86,8 @@ def extract_features(query, view=None):
 def features_with_budget(base, max_loss):
     """``base`` with only ``requested_loss_budget`` replaced.
 
-    Every other feature is MAXLOSS-independent, so a batch pipeline can
-    extract one base per fragment shape and stamp the per-query budget
+    Every other feature is MAXLOSS-independent, so a source's compiled
+    plan keeps one base per fragment and the per-query budget is stamped
     here instead of re-walking the query's paths per MAXLOSS variant.
     """
     values = dict(base.values)

@@ -68,12 +68,12 @@ _MAXLOSS_SUFFIX = re.compile(r" MAXLOSS [0-9.eE+-]+$")
 def piql_without_maxloss(query):
     """Canonical PIQL text with the MAXLOSS clause elided.
 
-    The batch pipeline (:meth:`repro.mediator.engine.MediationEngine
-    .pose_many`) shares MAXLOSS-independent pipeline stages across the
-    queries of one batch; this is the sharing key.  ``to_piql`` omits
-    the clause when ``max_loss == 1.0``; otherwise the clause is
-    stripped from the single render rather than re-rendering a clone —
-    this key is computed per (query, source) on the batch hot path.
+    A source's compiled plan (:meth:`repro.source.server.RemoteSource
+    .prepare`) reads no MAXLOSS, so one plan serves every MAXLOSS
+    variant of a fragment; this text keys it.  ``to_piql`` omits the
+    clause when ``max_loss == 1.0``; otherwise the clause is stripped
+    from the single render rather than re-rendering a clone — this key
+    is computed per (query, source) on the hot path.
     """
     text = to_piql(query)
     if query.max_loss == 1.0:

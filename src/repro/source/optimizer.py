@@ -59,18 +59,26 @@ class PrivacyAwareOptimizer:
         can also be used in the query plan to filter out irrelevant
         processing of data").
         """
-        budget = min(max_loss, rewrite.loss_budget)
-        if not loss_estimate.within_budget(budget):
-            raise PrivacyViolation(
-                f"estimated privacy loss {loss_estimate.privacy_loss:.3f} "
-                f"exceeds budget {budget:.3f}; refusing before execution"
-            )
+        self.check_budget(rewrite, loss_estimate, max_loss)
         selectivity = self._selectivity(rewrite, selectivity)
         candidates = [
             self._rewrite_plan(techniques, selectivity),
             self._filter_plan(techniques, selectivity),
         ]
         return min(candidates, key=lambda p: p.estimated_cost)
+
+    def check_budget(self, rewrite, loss_estimate, max_loss=1.0):
+        """Raise :class:`PrivacyViolation` when the estimate is over budget.
+
+        The budget is the tighter of the requester's MAXLOSS and the
+        policies' granted loss; the static gate raises this same refusal.
+        """
+        budget = min(max_loss, rewrite.loss_budget)
+        if not loss_estimate.within_budget(budget):
+            raise PrivacyViolation(
+                f"estimated privacy loss {loss_estimate.privacy_loss:.3f} "
+                f"exceeds budget {budget:.3f}; refusing before execution"
+            )
 
     def _selectivity(self, rewrite, override):
         if override is not None:

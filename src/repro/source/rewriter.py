@@ -91,17 +91,6 @@ class PrivacyRewriter:
         metrics.histogram("rewriter.loss_budget").observe(result.loss_budget)
         return result
 
-    def dry_run(self, query, decisions, requester=None):
-        """Rewrite without telemetry side effects.
-
-        Identical semantics to :meth:`rewrite` (same refusals, same
-        :class:`RewriteResult`) but emits no span and increments no
-        counters, so the static plan analyzer
-        (:mod:`repro.analysis.plancheck`) can probe the rewrite outcome
-        ahead of dispatch without perturbing the source's metrics.
-        """
-        return self._rewrite(query, decisions, requester)
-
     def _rewrite(self, query, decisions, requester):
         for column, decision in decisions.items():
             if not isinstance(decision, Decision):

@@ -2,20 +2,28 @@
 
 One :class:`RemoteSource` owns a relational catalog, its policy store, and
 the per-source privacy state (query clusterer, sequence auditor, overlap
-history).  :meth:`RemoteSource.answer` runs the full pipeline::
+history).  The pipeline runs in two halves.  :meth:`RemoteSource.prepare`
+compiles a fragment for one principal into a :class:`SourcePlan`::
 
     PIQL fragment
       → Query Transformer            (loose paths → local SelectQuery)
       → policy evaluation            (per-column decisions)
       → Privacy Rewriter             (+ RBAC, + consent row policy)
-      → feature extraction           (no execution)
+      → feature extraction           (MAXLOSS-free base, no execution)
+
+and :meth:`RemoteSource.answer` runs the plan::
+
       → Cluster Matching             (techniques for this query class)
-      → sequence defenses            (set size / audit / overlap)
       → Loss Computation             (privacy + information loss)
       → Privacy-aware Optimizer      (plan or refuse on budget)
+      → sequence defenses            (set size / audit / overlap)
       → execution                    (mini relational engine)
       → technique application        (k-anonymity, pseudonyms, rounding)
       → XML Transformer + Tagger     (privacy-tagged result document)
+
+The static gate (:mod:`repro.analysis.plancheck`) interprets the same
+plan, so one pose compiles each source's plan once, in the gate or in
+the source, whichever comes first.
 
 Every stage runs inside a telemetry span (``source.*``) that nests under
 the mediator's ``mediator.pose`` span when the engine posed the fragment;
@@ -25,12 +33,13 @@ shared registry.  All of it is no-op by default (:mod:`repro.telemetry`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.errors import PrivacyViolation, QueryError, ReproError
 from repro.crypto.keyed_hash import keyed_hash
-from repro.policy.matching import evaluate_request
-from repro.policy.model import DisclosureForm
+from repro.policy.matching import combine, evaluate_request
 from repro.query.features import extract_features, features_with_budget
-from repro.query.language import piql_without_maxloss, to_piql
+from repro.query.language import piql_without_maxloss
 from repro.query.model import PiqlQuery
 from repro.relational.engine import execute
 from repro.relational.table import Table
@@ -47,6 +56,24 @@ from repro.telemetry import resolve_telemetry
 from repro.xmlkit.loose import normalize_name
 
 _IDENTIFIER_COLUMNS = ("id", "ssn", "name", "first", "last")
+
+
+@dataclass(frozen=True, slots=True)
+class SourcePlan:
+    """One fragment compiled for one principal: Figure 2(a) up to execution.
+
+    Nothing here reads MAXLOSS, the data or the source's history, so
+    the static gate, the source and every MAXLOSS variant in a batch
+    share one plan.  This is the source's published view of the
+    fragment in the sense of Benedikt et al.'s view design.
+    """
+
+    key: tuple        # MAXLOSS-stripped fragment, principal, policy version
+    transform: object  # TransformResult: local query, path → column, SQL
+    decisions: dict   # column → Decision, most restrictive per column
+    rewrite: object   # RewriteResult
+    query: object     # the rewritten query with the consent predicate
+    features: object  # QueryFeatures; the budget is stamped per query
 
 
 class SourceResponse:
@@ -167,6 +194,67 @@ class RemoteSource:
 
     # -- the pipeline --------------------------------------------------------
 
+    def prepare(self, piql, requester=None, role=None, subjects=(),
+                memo=None):
+        """Compile ``piql`` for one principal into a :class:`SourcePlan`.
+
+        Transform → policy decisions → rewrite (with RBAC) → consent
+        fold, plus the MAXLOSS-free feature base.  The static gate
+        interprets the plan and :meth:`answer` executes it.  ``memo`` is
+        the per-pose dict the engine keeps for this source (a batch keeps
+        one across its queries): the plan, or the refusal it raised, is
+        kept there under the MAXLOSS-stripped fragment, the principal
+        and the policy-store version, so whichever of the gate and the
+        source compiles first serves the other.  A refusal replays as
+        the same exception object; its readers only take its type and
+        message.
+        """
+        key = (piql_without_maxloss(piql), requester, role, tuple(subjects),
+               self.policy_store.version)
+        if memo is not None:
+            cached = memo.get(key)
+            if isinstance(cached, ReproError):
+                # a fresh traceback, or each replay would extend it
+                raise cached.with_traceback(None)
+            if cached is not None:
+                return cached
+        telemetry = self.telemetry
+        purpose = piql.purpose or "research"
+        try:
+            with telemetry.span("source.transform"):
+                transform = self.transformer.transform(piql)
+            with telemetry.span("source.policy", purpose=purpose):
+                decisions = {}
+                for path_repr, column in sorted(
+                        transform.column_of_path.items()):
+                    decision = evaluate_request(
+                        self.policy_store, self.name, path_repr, purpose,
+                        role=role, subjects=subjects,
+                    )
+                    # several paths to one column: most restrictive wins
+                    decisions[column] = (
+                        combine(decisions[column], decision)
+                        if column in decisions else decision
+                    )
+            rewrite = self.rewriter.rewrite(
+                transform.query, decisions, requester
+            )
+        except ReproError as error:
+            if memo is not None:
+                memo[key] = error
+            raise
+        query = rewrite.query
+        if self.consent_predicate is not None:
+            query = query.replace(
+                where=query.where.and_(self.consent_predicate)
+            )
+        view = self.policy_store.view_for(self.name)
+        plan = SourcePlan(key, transform, decisions, rewrite, query,
+                          extract_features(piql, view))
+        if memo is not None:
+            memo[key] = plan
+        return plan
+
     def answer(self, piql, requester=None, role=None, subjects=(),
                shared=None):
         """Answer one PIQL fragment, or raise a privacy/access error.
@@ -175,25 +263,20 @@ class RemoteSource:
         span (nested under ``mediator.pose`` when the engine posed the
         fragment); each stage of Figure 2(a) gets a child span.
 
-        ``shared`` is a batch-scoped dict (``pose_many``): non-aggregate
-        fragments then run :meth:`_answer_batched`, which reuses the
-        MAXLOSS-independent stages across the batch while keeping every
-        stateful or per-query stage (cluster absorption, the optimizer's
-        budget refusal, the answered/refused counters around this
-        wrapper) exactly as the plain path runs them.  Aggregates always
-        take the full pipeline — their sequence defenses and output
-        perturbation are stateful.
+        ``shared`` is the engine's per-pose memo for this source (one
+        dict across a ``pose_many`` batch): :meth:`prepare` keeps its
+        plans there, and selectivities and record-level documents keep
+        nested tiers.  Everything stateful or per query (cluster
+        absorption, the budget check, the sequence defenses, output
+        perturbation, the answered/refused counters) runs every time.
         """
         if not isinstance(piql, PiqlQuery):
             raise QueryError("answer needs a PiqlQuery")
         telemetry = self.telemetry
         with telemetry.span("source.answer", source=self.name) as span:
             try:
-                if shared is not None and not piql.is_aggregate:
-                    response = self._answer_batched(piql, requester, role,
-                                                    subjects, shared)
-                else:
-                    response = self._answer(piql, requester, role, subjects)
+                response = self._answer(piql, requester, role, subjects,
+                                        shared)
             except (PrivacyViolation, ReproError):
                 self.queries_refused += 1
                 telemetry.metrics.counter(
@@ -209,64 +292,74 @@ class RemoteSource:
                      strategy=response.plan.strategy)
         return response
 
-    def _answer(self, piql, requester, role, subjects):
+    def _answer(self, piql, requester, role, subjects, shared):
         telemetry = self.telemetry
-        with telemetry.span("source.transform"):
-            transform = self.transformer.transform(piql)
+        plan = self.prepare(piql, requester, role, subjects, memo=shared)
+        rewrite, query = plan.rewrite, plan.query
 
-        from repro.policy.matching import combine
-
-        purpose = piql.purpose or "research"
-        with telemetry.span("source.policy", purpose=purpose):
-            decisions = {}
-            for path_repr, column in sorted(transform.column_of_path.items()):
-                decision = evaluate_request(
-                    self.policy_store, self.name, path_repr, purpose,
-                    role=role, subjects=subjects,
-                )
-                if column in decisions:
-                    # several paths to one column: most restrictive wins
-                    decisions[column] = combine(decisions[column], decision)
-                else:
-                    decisions[column] = decision
-
-        rewrite = self.rewriter.rewrite(transform.query, decisions, requester)
-
+        # Only ``requested_loss_budget`` reads MAXLOSS: it is stamped on
+        # the plan's base, so the clusterer sees the exact query vector.
+        features = features_with_budget(plan.features, piql.max_loss)
         with telemetry.span("source.cluster_match"):
-            view = self.policy_store.view_for(self.name)
-            features = extract_features(piql, view)
             cluster = self.clusterer.match(features)
             techniques = cluster.techniques
 
-        query = rewrite.query
-        if self.consent_predicate is not None:
-            query = query.replace(
-                where=query.where.and_(self.consent_predicate)
-            )
-
-        # One predicate pass serves the §4 defenses and execution.  Only
-        # aggregates run defenses, so only they select here; a projection
-        # selects inside ``execute``, after the optimizer's budget check.
-        row_ids = None
-        with telemetry.span("source.sequence_defenses"):
-            if query.is_aggregate:
-                row_ids = self.table.select(query.where)
-                self._sequence_defenses(query, techniques, row_ids)
-
+        # Row-derived values keep nested tiers of their own: the flow
+        # analyzer models a dict as one cell, and a row-valued entry
+        # beside the plans would smear its label onto every plan read
+        # back.
+        tiers = {} if shared is None else shared
+        # The budget check precedes the sequence defenses: overlap
+        # control and the audit trail record every set they pass, and a
+        # query refused on budget was never answered.
         with telemetry.span("source.loss_and_plan") as span:
             estimate = self.loss_estimator.estimate(
                 rewrite, features, techniques
             )
             # Histogram-based selectivity replaces the optimizer's crude
             # predicate-count heuristic.
-            selectivity = max(0.001, self.statistics.selectivity(query.where))
-            plan = self.optimizer.plan(
+            selectivities = tiers.setdefault("selectivity", {})
+            selectivity = selectivities.get(plan.key)
+            if selectivity is None:
+                selectivity = selectivities[plan.key] = max(
+                    0.001, self.statistics.selectivity(query.where)
+                )
+            execution = self.optimizer.plan(
                 rewrite, estimate, techniques, max_loss=piql.max_loss,
                 selectivity=selectivity,
             )
             span.set(privacy_loss=estimate.privacy_loss,
-                     selectivity=selectivity, strategy=plan.strategy)
+                     selectivity=selectivity, strategy=execution.strategy)
 
+        if query.is_aggregate:
+            # One predicate pass serves the §4 defenses and execution; a
+            # projection selects inside ``execute``.
+            with telemetry.span("source.sequence_defenses"):
+                row_ids = self.table.select(query.where)
+                self._sequence_defenses(query, techniques, row_ids)
+            document = self._document(query, rewrite, techniques, estimate,
+                                      requester, row_ids)
+        else:
+            # A record-level document is a pure function of the plan, the
+            # matched cluster (its technique list is immutable) and the
+            # loss stamped into its tags, so MAXLOSS variants in one batch
+            # share it; the integrator never mutates it.
+            documents = tiers.setdefault("documents", {})
+            document_key = (plan.key, id(cluster), estimate.privacy_loss)
+            document = documents.get(document_key)
+            if document is None:
+                document = documents[document_key] = self._document(
+                    query, rewrite, techniques, estimate, requester, None
+                )
+        return SourceResponse(
+            document, estimate.privacy_loss, estimate.information_loss,
+            execution, cluster, rewrite, plan.transform.sql,
+        )
+
+    def _document(self, query, rewrite, techniques, estimate, requester,
+                  row_ids):
+        """Execute → techniques → tagging: the released document."""
+        telemetry = self.telemetry
         with telemetry.span("source.execute"):
             result = execute(query, self.catalog, row_ids=row_ids)
         with telemetry.span("source.techniques") as span:
@@ -281,150 +374,10 @@ class RemoteSource:
                 for column in rewrite.generalized_columns
                 if not query.is_aggregate
             }
-            document = tag_results(
+            return tag_results(
                 result, self.name, rewrite.column_forms,
                 estimate.privacy_loss, applied, generalizers,
             )
-        return SourceResponse(
-            document, estimate.privacy_loss, estimate.information_loss,
-            plan, cluster, rewrite, transform.sql,
-        )
-
-    def _answer_batched(self, piql, requester, role, subjects, shared):
-        """:meth:`_answer` with batch-scoped reuse (non-aggregate only).
-
-        Three sharing tiers, all pure recomputation:
-
-        * **prep** — transform, policy decisions, rewrite, consent
-          fold, selectivity: none reads MAXLOSS, so one computation
-          serves every MAXLOSS variant of a fragment (a refusal raised
-          here replays as the same exception object — the dispatcher
-          only reads its type and message);
-        * **features** — one MAXLOSS-free base per prep key; the
-          per-query budget is stamped on afterwards;
-        * **document** — execute → techniques → tagging, keyed by the
-          prep key plus the matched cluster (its technique list is
-          immutable) and the estimate's privacy loss (stamped into the
-          tags).  All three stages are deterministic and pure, so
-          reusing the document is recomputation elision, not semantic
-          change; the integrator never mutates it.
-
-        Per query, unconditionally: cluster *match* (it absorbs the
-        query into the clusterer's state), the loss estimate, and the
-        optimizer's plan-or-refuse — the per-query budget decision.
-        """
-        telemetry = self.telemetry
-        prep_key = ("prep", piql_without_maxloss(piql), requester, role,
-                    tuple(subjects))
-        prep = shared.get(prep_key)
-        if prep is None:
-            try:
-                with telemetry.span("source.transform"):
-                    transform = self.transformer.transform(piql)
-
-                from repro.policy.matching import combine
-
-                purpose = piql.purpose or "research"
-                with telemetry.span("source.policy", purpose=purpose):
-                    decisions = {}
-                    for path_repr, column in sorted(
-                            transform.column_of_path.items()):
-                        decision = evaluate_request(
-                            self.policy_store, self.name, path_repr, purpose,
-                            role=role, subjects=subjects,
-                        )
-                        if column in decisions:
-                            decisions[column] = combine(
-                                decisions[column], decision
-                            )
-                        else:
-                            decisions[column] = decision
-
-                rewrite = self.rewriter.rewrite(
-                    transform.query, decisions, requester
-                )
-
-                query = rewrite.query
-                if self.consent_predicate is not None:
-                    query = query.replace(
-                        where=query.where.and_(self.consent_predicate)
-                    )
-            except (PrivacyViolation, ReproError) as error:
-                shared[prep_key] = ("error", error)
-                raise
-            prep = shared[prep_key] = ("ok", (transform, rewrite, query))
-        kind, payload = prep
-        if kind == "error":
-            raise payload
-        transform, rewrite, query = payload
-
-        # Selectivity is derived from column statistics (row-valued in the
-        # flow analyzer's eyes), so it gets its own nested tier — see the
-        # documents tier below for why mixing it into ``shared`` directly
-        # would smear that label onto the whole batch.
-        selectivities = shared.setdefault("selectivity", {})
-        selectivity = selectivities.get(prep_key)
-        if selectivity is None:
-            selectivity = selectivities[prep_key] = max(
-                0.001, self.statistics.selectivity(query.where)
-            )
-
-        # Only ``requested_loss_budget`` reads MAXLOSS, so the feature
-        # base shares on the prep key and the budget is stamped per
-        # query — the clusterer still sees the exact per-query vector.
-        features_key = ("features", prep_key)
-        base = shared.get(features_key)
-        if base is None:
-            view = self.policy_store.view_for(self.name)
-            base = shared[features_key] = extract_features(piql, view)
-        features = features_with_budget(base, piql.max_loss)
-        with telemetry.span("source.cluster_match"):
-            cluster = self.clusterer.match(features)
-            techniques = cluster.techniques
-
-        with telemetry.span("source.loss_and_plan") as span:
-            estimate = self.loss_estimator.estimate(
-                rewrite, features, techniques
-            )
-            plan = self.optimizer.plan(
-                rewrite, estimate, techniques, max_loss=piql.max_loss,
-                selectivity=selectivity,
-            )
-            span.set(privacy_loss=estimate.privacy_loss,
-                     selectivity=selectivity, strategy=plan.strategy)
-
-        # Tagged documents are disclosure payloads; they live in their own
-        # nested tier so the prep/features entries beside them stay plain
-        # derived-from-the-query artifacts (the information-flow analyzer
-        # models a dict as one cell — mixing tiers would smear the result
-        # label onto the rewrite every later query reads back).
-        documents = shared.setdefault("documents", {})
-        document_key = ("document", prep_key, id(cluster),
-                        estimate.privacy_loss)
-        cached = documents.get(document_key)
-        if cached is None:
-            with telemetry.span("source.execute"):
-                result = execute(query, self.catalog)
-            with telemetry.span("source.techniques") as span:
-                result, applied = self._apply_techniques(
-                    result, query, techniques
-                )
-                span.set(applied=[t.name for t in applied])
-            with telemetry.span("source.tag_results"):
-                generalizers = {
-                    column: self._generalizer(column)
-                    for column in rewrite.generalized_columns
-                }
-                document = tag_results(
-                    result, self.name, rewrite.column_forms,
-                    estimate.privacy_loss, applied, generalizers,
-                )
-            cached = documents[document_key] = document
-        document = cached
-        return SourceResponse(
-            document, estimate.privacy_loss, estimate.information_loss,
-            plan, cluster, rewrite, transform.sql,
-        )
 
     # -- defenses and techniques ----------------------------------------------
 

@@ -14,6 +14,8 @@ Two classic restrictions:
 
 from __future__ import annotations
 
+import threading
+
 from repro.errors import PrivacyViolation, ReproError
 
 
@@ -53,19 +55,26 @@ class OverlapController:
         if max_overlap < 0:
             raise ReproError("max_overlap must be >= 0")
         self.max_overlap = max_overlap
+        self._lock = threading.Lock()
         self.answered = []
 
     def check_and_record(self, query_set):
-        """Record if every pairwise overlap is within bounds; else refuse."""
+        """Record if every pairwise overlap is within bounds; else refuse.
+
+        One lock holds the check and the append together: concurrent
+        poses share a source, and two overlapping sets checked against
+        the same history would otherwise both pass.
+        """
         candidate = frozenset(query_set)
-        for previous in self.answered:
-            overlap = len(candidate & previous)
-            if overlap > self.max_overlap:
-                raise PrivacyViolation(
-                    f"query overlaps an answered query in {overlap} records "
-                    f"(limit {self.max_overlap})"
-                )
-        self.answered.append(candidate)
+        with self._lock:
+            for previous in self.answered:
+                overlap = len(candidate & previous)
+                if overlap > self.max_overlap:
+                    raise PrivacyViolation(
+                        f"query overlaps an answered query in {overlap} "
+                        f"records (limit {self.max_overlap})"
+                    )
+            self.answered.append(candidate)
 
     def minimum_queries_to_compromise(self, k):
         """DJL lower bound on snooper effort: ``1 + (k - 1) / r``."""

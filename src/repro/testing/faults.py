@@ -179,14 +179,10 @@ class FlakySource:
             raise PrivacyViolation(f"{self.name}: injected policy refusal")
         if kind in ("delay", "hang"):
             self._sleep(event[1] if len(event) > 1 else 0.05)
-        if shared is not None:
-            # pose_many batch sharing rides through the fault layer
-            return self._inner.answer(
-                piql, requester=requester, role=role, subjects=subjects,
-                shared=shared,
-            )
+        # the engine's per-pose plan memo rides through the fault layer
         return self._inner.answer(
-            piql, requester=requester, role=role, subjects=subjects
+            piql, requester=requester, role=role, subjects=subjects,
+            shared=shared,
         )
 
     def __repr__(self):

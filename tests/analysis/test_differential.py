@@ -20,9 +20,14 @@ import random
 import pytest
 
 from repro import PrivateIye
-from repro.analysis.plancheck import REFUSE, SAFE
+from repro.analysis.plancheck import REFUSE, REFUSES, SAFE
 from repro.errors import PrivacyViolation, ReproError
 from repro.relational import Table
+from repro.validation.adversaries import (
+    ZooDefenses,
+    build_zoo_system,
+    default_adversaries,
+)
 
 POLICIES = """
 VIEW clinic_private {
@@ -71,8 +76,9 @@ PREDICATES = [
 MAXLOSSES = [None, 0.01, 0.04, 0.1, 0.3, 0.6, 1.0]
 
 
-def build_system():
-    system = PrivateIye(static_check=False)  # runtime leg must be ungated
+def build_system(**kwargs):
+    # runtime leg must be ungated
+    system = PrivateIye(static_check=False, **kwargs)
     system.load_policies(
         POLICIES,
         view_source={"clinic_private": "clinic", "lab_private": "lab"},
@@ -122,6 +128,54 @@ def runtime_outcome(system, text, requester):
     return "answered"
 
 
+def refusal_mismatches(system, text, requester, role=None):
+    """Sources the gate marks REFUSES, and those refusing otherwise at runtime.
+
+    Returns ``(n_refusing, mismatches)``: the runtime leg (gate off,
+    telemetry on) must refuse each such source with the same exception
+    kind and the same reason text, read from its explain ledger.
+    """
+    try:
+        verdict = system.analyze(text, requester=requester, role=role)
+    except ReproError:
+        return 0, []  # unanswerable plan (no source exports the path)
+    expected = {
+        name: (outcome.refusal_kind, outcome.refusal_reason)
+        for name, outcome in verdict.per_source.items()
+        if outcome.status == REFUSES
+    }
+    if not expected:
+        return 0, []
+    try:
+        system.query(text, requester=requester, role=role)
+    except ReproError:
+        pass
+    ledger = system.explain_last(requester).sources
+    mismatches = []
+    for name, static in sorted(expected.items()):
+        outcome = ledger.get(name, {})
+        runtime = (outcome.get("kind"), outcome.get("reason"))
+        if outcome.get("outcome") != "refused" or runtime != static:
+            mismatches.append((text, name, static, outcome))
+    return len(expected), mismatches
+
+
+def zoo_queries():
+    """Every (text, requester, role) the default adversary zoo poses."""
+    system = build_zoo_system()
+    posed = []
+    query = system.query
+
+    def recording(text, requester="anonymous", role=None, **kwargs):
+        posed.append((text, requester, role))
+        return query(text, requester=requester, role=role, **kwargs)
+
+    system.query = recording
+    for adversary in default_adversaries():
+        adversary.run(system, ZooDefenses())
+    return posed
+
+
 class TestStaticRuntimeAgreement:
     def test_zero_disagreements_over_seeded_corpus(self):
         system = build_system()
@@ -159,6 +213,41 @@ class TestStaticRuntimeAgreement:
         for name in ("clinic", "lab"):
             assert f"{name}:" in verdict.reason
             assert f"{name}:" in str(error.value)
+
+    def test_static_refusals_are_the_runtime_refusals(self):
+        system = build_system(telemetry=True)
+        rng = random.Random(20060406)
+        refusing, mismatches = 0, []
+        for index in range(240):
+            n, bad = refusal_mismatches(system, generate_query(rng),
+                                        f"same-{index}")
+            refusing += n
+            mismatches.extend(bad)
+        assert refusing >= 100, f"only {refusing} static refusals"
+        assert not mismatches, mismatches
+
+    def test_zoo_static_refusals_are_the_runtime_refusals(self):
+        # The zoo's own queries, then each with a foreign purpose and a
+        # tight MAXLOSS: policy, rewrite and budget refusals alike.
+        posed = zoo_queries()
+        assert len(posed) >= 40
+        system = build_zoo_system()
+        system.engine.static_analyzer = None  # runtime leg ungated
+        refusing, mismatches = 0, []
+        for index, (text, requester, role) in enumerate(posed):
+            variants = (
+                text,
+                text.replace("PURPOSE research", "PURPOSE marketing"),
+                text.split(" MAXLOSS")[0] + " MAXLOSS 0.01",
+            )
+            for k, variant in enumerate(variants):
+                n, bad = refusal_mismatches(
+                    system, variant, f"{requester}-{index}-{k}", role
+                )
+                refusing += n
+                mismatches.extend(bad)
+        assert refusing >= 100, f"only {refusing} static refusals"
+        assert not mismatches, mismatches
 
     def test_safe_never_undersells_loss(self):
         # for a SAFE plan the runtime aggregated loss never exceeds the

@@ -1,5 +1,8 @@
 """Unit tests for set-size, overlap, and audit controls."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -56,6 +59,38 @@ class TestOverlapController:
     def test_djl_bound(self):
         assert OverlapController(1).minimum_queries_to_compromise(5) == 5.0
         assert OverlapController(0).minimum_queries_to_compromise(5) == float("inf")
+
+    def test_concurrent_overlapping_sets_record_at_most_one(self):
+        # Fan-out poses share a source: the check and the append must be
+        # one step, or two overlapping sets both pass an empty history.
+        query_set = list(range(40))
+        for _ in range(20):
+            control = OverlapController(3)
+            barrier = threading.Barrier(8)
+            errors = []
+
+            def worker():
+                try:
+                    barrier.wait(timeout=30)
+                    control.check_and_record(query_set)
+                except PrivacyViolation:
+                    pass  # the refusal every thread but one should get
+                except Exception as error:  # reported by the assertion
+                    errors.append(error)
+
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=worker) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(previous)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(control.answered) == 1
 
     def test_negative_overlap_rejected(self):
         with pytest.raises(ReproError):
