@@ -38,7 +38,9 @@ into the event log.
 The engine is deliberately *whole-program but modest*: no aliasing, no
 container element sensitivity (a tainted element taints the container),
 objects constructed from tainted arguments are tainted wholesale (so an
-attribute read off one is tainted).  Those over-approximations cost a
+attribute read off one is tainted; only a ``@dataclass``'s own methods
+read each field's taint alone, since its constructor call stores each
+argument in its field).  Those over-approximations cost a
 handful of justified suppressions in the tree and buy the property the
 differential test pins: no false negatives on live paths.
 """
@@ -687,6 +689,21 @@ class _Interpreter:
                 callee=receiver_text or (names[0] if names else None),
             ))
 
+        dataclass = self._dataclass_constructed(node.func, names)
+        if dataclass is not None:
+            # the generated __init__ stores each argument in its field,
+            # so ``self.<field>`` reads in the class's methods see it;
+            # ``*args``/``**kwargs`` may fill any field
+            fields = dataclass.fields
+            stored = list(zip(fields, arg_tags)) + list(kw_tags.items())
+            if None in kw_tags or any(isinstance(arg, ast.Starred)
+                                      for arg in node.args):
+                stored = [(field, all_arg_tags) for field in fields]
+            self.facts.stores.extend(
+                StoreRecord(dataclass.qname, field, tags)
+                for field, tags in stored if tags and field in fields
+            )
+
         # resolved in-tree callees: record edges and substitute summaries
         candidates = self._candidates(names + speculative)
         if candidates:
@@ -711,6 +728,14 @@ class _Interpreter:
                 return all_arg_tags
         # unknown callee: conservatively propagate everything visible
         return all_arg_tags | receiver_tags
+
+    def _dataclass_constructed(self, func, names):
+        """The dataclass a call constructs (``cls(...)`` included), if any."""
+        if isinstance(func, ast.Name) and func.id == "cls":
+            found = [self.function.class_info]
+        else:
+            found = [self.program.classes.get(name) for name in names]
+        return next((info for info in found if info and info.fields), None)
 
     def _is_constructor_call(self, func, names):
         return any(name in self.program.classes for name in names if name)

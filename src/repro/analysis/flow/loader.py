@@ -77,7 +77,7 @@ class ClassInfo:
     """One class: its methods, base names, and inferred attribute types."""
 
     __slots__ = ("qname", "module", "node", "bases", "methods",
-                 "attr_types", "lock_attrs", "sync_attrs")
+                 "attr_types", "lock_attrs", "sync_attrs", "fields")
 
     def __init__(self, qname, module, node):
         self.qname = qname
@@ -88,6 +88,8 @@ class ClassInfo:
         self.attr_types = {}  # self.<attr> → set of class qnames
         self.lock_attrs = set()  # self.<attr> holding a threading lock
         self.sync_attrs = set()  # self-synchronized: Queue, threading.local
+        #: a ``@dataclass``'s fields in ``__init__`` order, else empty
+        self.fields = _dataclass_fields(node)
 
     @property
     def name(self):
@@ -193,6 +195,16 @@ def _index_class(program, module, node):
             class_info.methods[item.name] = info
             program.functions[info.qname] = info
             program.methods_by_name.setdefault(item.name, []).append(info)
+
+
+def _dataclass_fields(node):
+    """Annotated class-body names of a ``@dataclass`` class, in order."""
+    if not any(_base_name(getattr(d, "func", d)) == "dataclass"
+               for d in node.decorator_list):
+        return ()
+    return tuple(item.target.id for item in node.body
+                 if isinstance(item, ast.AnnAssign)
+                 and isinstance(item.target, ast.Name))
 
 
 def _index_global_instance(program, module, node):

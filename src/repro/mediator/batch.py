@@ -26,12 +26,24 @@ The shared tiers:
 
 ``shared=`` is part of the source ``answer`` interface: every source
 (and every test double standing in for one) accepts it; direct callers
-outside the engine pass ``shared=None``.
+outside the engine pass ``shared=None``.  The engine empties the memos
+with :func:`release_memos` when their pose (or batch) ends.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+
+
+def release_memos(memos):
+    """Empty per-source plan memos once their pose (or batch) has ended.
+
+    A memo can hold a refusal whose traceback holds the frame holding
+    the memo; emptying it lets reference counting free the pose.
+    """
+    for memo in list(memos.values()):  # a hung attempt may still add one
+        memo.clear()
+    memos.clear()
 
 
 class PoseOutcome:

@@ -6,20 +6,21 @@ breakers, partial-results policies), result integration, privacy
 control, history/sequence guarding, and the hybrid warehouse into one
 ``pose()`` call.
 
-Every ``pose()`` is observable: the engine opens a ``mediator.pose`` span
-(stages nest underneath), updates the metrics registry, and writes a
-per-query :class:`~repro.telemetry.explain.ExplainReport` — the privacy
-ledger recording the fragmentation plan, the sequence-guard verdict,
-warehouse hit/miss, each source's answer or refusal (with the refusal
-*kind* preserved), and the aggregated loss checked against the
-requester's MAXLOSS.  With telemetry disabled (the default) all of this
-degrades to no-op singleton calls; see :mod:`repro.telemetry`.
+Every pose settles into one :class:`PoseRecord`, answered or refused,
+once its ``mediator.pose`` span closes.  One settle step then projects
+it, in one order: the disclosure-journal record, the write-ahead log
+record, the ``pose.<status>`` event, the snooper fold (answered only),
+the per-query :class:`~repro.telemetry.explain.ExplainReport` (the
+privacy ledger, which also records the fragmentation plan, the guard
+verdict, the warehouse leg and each source's outcome as the pipeline
+runs) and the metrics.  With telemetry disabled (the default) the
+ledger, events and metrics degrade to no-op singleton calls; see
+:mod:`repro.telemetry`.
 
 Durability contract (:mod:`repro.persistence`): with a persistence sink
-attached, every pose's privacy effects — the history entry, the journal
-record, per-source losses, released cells — are appended to the
-write-ahead log durably *before* the answer is released to the caller
-(and before a refusal is re-raised).  A crash at any instant therefore
+attached, the WAL append comes before anything else learns of the pose
+— the event, the snooper fold, the ledger, and the caller, who gets the
+answer or the re-raised refusal.  A crash at any instant therefore
 leaves the store describing a superset of what requesters were shown:
 charged-but-unreleased is possible, released-but-forgotten is not.
 With ``persistence=None`` (the default) the query path carries a single
@@ -29,6 +30,7 @@ With ``persistence=None`` (the default) the query path carries a single
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 
 from repro.analysis.plancheck import REFUSE, resolve_static_check
 from repro.cache import canonical_piql, plan_fingerprint, resolve_cache
@@ -40,6 +42,7 @@ from repro.errors import (
     ReproError,
     SourceUnavailable,
 )
+from repro.mediator.batch import BatchContext, PoseOutcome, release_memos
 from repro.mediator.control import PrivacyControl
 from repro.mediator.dispatch import FAULT_DEADLINE, FAULT_TRANSIENT, resolve_dispatch
 from repro.mediator.fragmenter import QueryFragmenter
@@ -53,6 +56,103 @@ from repro.query.language import parse_piql
 from repro.query.model import PiqlQuery
 from repro.telemetry import resolve_telemetry
 from repro.telemetry.obs.context import TraceContext
+
+
+@dataclass(frozen=True, slots=True)
+class PoseRecord:
+    """How one pose settled; every record of the pose is read off it.
+
+    A refused pose disclosed nothing: no losses, no cells, no rows.
+    :meth:`to_dict` is the flat form a WAL pose record is built on.
+    """
+
+    requester: str
+    fingerprint: str
+    status: str                 # "answered" | "refused"
+    refusal_kind: str | None    # the refusal's class name
+    refusal_reason: str | None
+    trace_id: str | None
+    history: dict | None        # HistoryEntry.to_dict() of what was charged
+    per_source_loss: dict
+    aggregated_loss: float
+    cells: tuple                # released_cells(): (measure, source, value)
+    rows: int
+    duplicates_removed: int
+    duration_ms: float
+
+    @classmethod
+    def of(cls, query, requester, fingerprint, span, history, result=None,
+           error=None):
+        """The record of a pose that returned ``result`` or raised ``error``."""
+        if error is not None:
+            return cls(requester, fingerprint, "refused",
+                       type(error).__name__, str(error), span.trace_id,
+                       history, {}, 0.0, (), 0, 0, span.duration_ms)
+        return cls(requester, fingerprint, "answered", None, None,
+                   span.trace_id, history, dict(result.per_source_loss),
+                   float(result.aggregated_loss),
+                   tuple(released_cells(query, result)), len(result.rows),
+                   result.duplicates_removed, span.duration_ms)
+
+    def to_dict(self):
+        """Every field, JSON-serializable."""
+        record = {name: getattr(self, name) for name in self.__slots__}
+        record["cells"] = [list(cell) for cell in self.cells]
+        return record
+
+    def settle(self, engine, report, event_mark):
+        """Project the pose onto every record of it, in one order.
+
+        Journal → WAL (the write-ahead point: the pose is durable before
+        anyone hears of it) → ``pose.<status>`` event → snooper fold
+        (answered only) → explain ledger → metrics, for both statuses.
+        The caller then returns the result or re-raises the refusal.
+        Reading the fields through ``self`` lets the flow analyzer track
+        them one by one: only the losses and cells carry the result's
+        taint.
+        """
+        telemetry, observatory = engine.telemetry, engine.observatory
+        events, metrics = telemetry.events, telemetry.metrics
+        journal = None
+        if observatory is not None:
+            journal = observatory.record_pose(self)
+        if engine.persistence is not None:
+            engine.persistence.record_pose(self, journal)
+        answered = self.status == "answered"
+        if answered:
+            # repro-lint: disable=REP010 -- aggregated/cumulative loss
+            # are the §5 accounting aggregates the requester is handed
+            # anyway (compound_loss outputs; tainted by tuple-return
+            # granularity).
+            events.emit(
+                "pose.answered", requester=self.requester,
+                fingerprint=self.fingerprint, trace_id=self.trace_id,
+                rows=self.rows, aggregated_loss=self.aggregated_loss,
+                cumulative_loss=(journal.cumulative_loss
+                                 if journal is not None else None),
+            )
+        else:
+            events.emit(
+                "pose.refused", requester=self.requester,
+                fingerprint=self.fingerprint, trace_id=self.trace_id,
+                kind=self.refusal_kind, reason=self.refusal_reason,
+            )
+        if answered and observatory is not None:
+            # Alert events land after this pose's ``pose.answered`` and
+            # before the next pose's.
+            observatory.observe_result(self.requester, self.cells)
+        report.finish(self, journal, events.since(event_mark))
+        if not answered:
+            metrics.counter("mediator.queries_refused").inc()
+            metrics.counter(f"mediator.refusals.{self.refusal_kind}").inc()
+            return
+        metrics.counter("mediator.queries_answered").inc()
+        metrics.histogram("mediator.pose_ms").observe(self.duration_ms)
+        # repro-lint: disable=REP010 -- same accounting aggregate as the
+        # pose.answered payload above.
+        metrics.histogram("mediator.aggregated_loss").observe(
+            self.aggregated_loss
+        )
 
 
 class MediationEngine:
@@ -225,8 +325,6 @@ class MediationEngine:
         is consumed — abandoning the iterator abandons the unposed tail
         without side effects.
         """
-        from repro.mediator.batch import BatchContext, PoseOutcome
-
         self._ensure_schema()
         # One trace id for the whole batch: every pose's root span (and
         # everything restored from it — fan-out attempts, WAL appends)
@@ -234,18 +332,21 @@ class MediationEngine:
         batch = BatchContext(
             trace=TraceContext.ensure(self.telemetry.tracer)
         )
-        for query in queries:
-            if isinstance(query, str):
-                query = parse_piql(query)
-            try:
-                result = self._pose_wrapped(
-                    query, requester, role, subjects, emergency,
-                    use_warehouse, batch=batch,
-                )
-            except ReproError as error:
-                yield PoseOutcome(query, requester, error=error)
-            else:
-                yield PoseOutcome(query, requester, result=result)
+        try:
+            for query in queries:
+                if isinstance(query, str):
+                    query = parse_piql(query)
+                try:
+                    result = self._pose_wrapped(
+                        query, requester, role, subjects, emergency,
+                        use_warehouse, batch=batch,
+                    )
+                except ReproError as error:
+                    yield PoseOutcome(query, requester, error=error)
+                else:
+                    yield PoseOutcome(query, requester, result=result)
+        finally:
+            release_memos(batch.shared)
 
     def _pose_wrapped(self, query, requester, role, subjects, emergency,
                       use_warehouse, batch=None):
@@ -257,141 +358,61 @@ class MediationEngine:
             raise IntegrationError("pose needs PIQL text or a PiqlQuery")
 
         telemetry = self.telemetry
-        events = telemetry.events
-        observatory = self.observatory
         report = telemetry.explain.begin(query, requester, role)
         # Tier-1 fingerprint: canonical text + principal + policy epoch.
-        # Hoisted out of the pipeline body so the disclosure journal can
-        # record *refused* poses under the same identity as answered ones.
+        # Hoisted out of the pipeline body so a refused pose settles
+        # under the same identity as an answered one.
         canonical = canonical_piql(query)
         policy_epoch = self._policy_epoch()
         fingerprint = plan_fingerprint(canonical, requester, role,
                                        subjects, policy_epoch)
-        event_mark = events.mark()
-        # ``effects`` collects the pose's durable side effects (the
-        # history entry, for now) as ``_pose`` produces them, so the
-        # write-ahead record below carries exactly what was charged.
-        effects = {}
+        event_mark = telemetry.events.mark()
         # Batched poses share the batch's trace id; a lone pose mints
         # its own (inside Span._push).  The id rides the span stack to
-        # fan-out workers and is stamped into the WAL record.
+        # fan-out workers and is stamped into the pose record.
         batch_trace = (batch.trace.trace_id
                        if batch is not None and batch.trace is not None
                        else None)
-        with telemetry.span("mediator.pose", trace_id=batch_trace,
-                            requester=requester) as span:
-            try:
-                result = self._pose(
+        # One plan memo per source for this pose (the batch's, across a
+        # pose_many): whichever of the static gate and the source
+        # compiles a source's plan first, the other reuses it.
+        memos = batch.shared if batch is not None else defaultdict(dict)
+        try:
+            with telemetry.span("mediator.pose", trace_id=batch_trace,
+                                requester=requester) as span:
+                result, history = self._pose(
                     query, requester, role, subjects, emergency,
                     use_warehouse, report, canonical, fingerprint,
-                    policy_epoch, effects, batch,
+                    policy_epoch, batch, memos,
                 )
-            except ReproError as error:
-                report.finish("refused", error=error,
-                              duration_ms=span.duration_ms)
-                telemetry.metrics.counter("mediator.queries_refused").inc()
-                telemetry.metrics.counter(
-                    f"mediator.refusals.{type(error).__name__}"
-                ).inc()
-                events.emit(
-                    "pose.refused", requester=requester,
-                    fingerprint=fingerprint, trace_id=span.trace_id,
-                    kind=type(error).__name__, reason=str(error),
-                )
-                audit = None
-                if observatory is not None:
-                    audit = observatory.record_pose(
-                        requester, fingerprint, "refused",
-                        kind=type(error).__name__,
-                    )
-                    report.set_audit(audit)
-                if self.persistence is not None:
-                    # Refusals are durable too: a refusal that was
-                    # final before a crash must stay final after it,
-                    # which takes the (guard-)history entry and the
-                    # journal record surviving the restart.
-                    self.persistence.record_pose({
-                        "requester": requester,
-                        "fingerprint": fingerprint,
-                        "status": "refused",
-                        "refusal_kind": type(error).__name__,
-                        "trace_id": span.trace_id,
-                        "history": effects.get("history"),
-                        "journal": (audit.to_dict()
-                                    if audit is not None else None),
-                    })
-                report.set_events(events.since(event_mark))
-                raise
-        record = None
-        if observatory is not None:
-            record = observatory.record_pose(
-                requester, fingerprint, "answered",
-                per_source_loss=result.per_source_loss,
-                aggregated_loss=result.aggregated_loss,
-            )
-            report.set_audit(record)
-        if self.persistence is not None:
-            # THE write-ahead point: every privacy-relevant effect of
-            # this pose is durable before the answer object is released
-            # to the caller (the ``pose.answered`` event, the snooper
-            # fold, and the return all happen after this line).
-            self.persistence.record_pose({
-                "requester": requester,
-                "fingerprint": fingerprint,
-                "status": "answered",
-                "trace_id": span.trace_id,
-                "history": effects.get("history"),
-                "journal": record.to_dict() if record is not None else None,
-                "per_source_loss": dict(result.per_source_loss),
-                "aggregated_loss": result.aggregated_loss,
-                "cells": [list(cell)
-                          for cell in released_cells(query, result)],
-                "pose_counted": observatory is not None,
-            })
-        # repro-lint: disable=REP010 -- aggregated/cumulative loss are
-        # the §5 accounting aggregates the requester is handed anyway
-        # (compound_loss outputs; tainted by tuple-return granularity).
-        events.emit(
-            "pose.answered", requester=requester, fingerprint=fingerprint,
-            trace_id=span.trace_id,
-            rows=len(result.rows), aggregated_loss=result.aggregated_loss,
-            cumulative_loss=(record.cumulative_loss if record is not None
-                             else None),
-        )
-        if observatory is not None:
-            # Fold released aggregates into the requester's snooper
-            # ledger and replay it — alert events land after this
-            # pose's ``pose.answered`` and before the next pose's.
-            observatory.observe_result(requester, query, result)
-        report.set_events(events.since(event_mark))
-        report.set_integration(len(result.rows), result.duplicates_removed)
-        report.finish("answered", duration_ms=span.duration_ms)
-        telemetry.metrics.counter("mediator.queries_answered").inc()
-        telemetry.metrics.histogram("mediator.pose_ms").observe(
-            span.duration_ms
-        )
-        # repro-lint: disable=REP010 -- same accounting aggregate as the
-        # pose.answered payload above.
-        telemetry.metrics.histogram("mediator.aggregated_loss").observe(
-            result.aggregated_loss
-        )
+        except ReproError as error:
+            # Only a sequence-guard refusal charges history (see _pose).
+            PoseRecord.of(
+                query, requester, fingerprint, span,
+                getattr(error, "history", None), error=error,
+            ).settle(self, report, event_mark)
+            raise
+        finally:
+            if batch is None:
+                release_memos(memos)
+        PoseRecord.of(
+            query, requester, fingerprint, span, history, result=result,
+        ).settle(self, report, event_mark)
         return result
 
     def _pose(self, query, requester, role, subjects, emergency,
               use_warehouse, report, canonical, fingerprint, policy_epoch,
-              effects, batch=None):
+              batch, memos):
         """The ``pose()`` pipeline body (refusals propagate to the caller).
+
+        Returns ``(result, history)``: the integrated result and the
+        logged form of the history entry the pose charged.
 
         The mediation cache accelerates this path but never shortens the
         accounting around it: the sequence guard runs, and the history
         records, on *every* pose — a cached answer is charged exactly
         like a fresh one.  Caching never bypasses auditing (see
         ``docs/performance.md``).
-
-        ``effects`` is the caller's accumulator for durable side
-        effects: both history-record sites (the guard-refusal one and
-        the answered one) deposit the entry's logged form there so the
-        caller can write it ahead of releasing the outcome.
         """
         telemetry = self.telemetry
         cache = self.cache
@@ -415,11 +436,12 @@ class MediationEngine:
                 )
             except AuditRefusal as refusal:
                 report.set_guard("refused", str(refusal))
-                entry = self.history.record(
+                # The one refusal that charges history: its entry rides
+                # the refusal to the settle step.
+                refusal.history = self.history.record(
                     requester, attributes, signature, query.is_aggregate,
                     refused=True,
-                )
-                effects["history"] = entry.to_dict()
+                ).to_dict()
                 raise
         report.set_guard("pass")
 
@@ -447,10 +469,6 @@ class MediationEngine:
         }
         report.set_cache(cache_info)
 
-        # One plan memo per source for this pose (the batch's, across a
-        # pose_many): whichever of the static gate and the source
-        # compiles a source's plan first, the other reuses it.
-        memos = batch.shared if batch is not None else defaultdict(dict)
         if self.static_analyzer is not None:
             self._static_gate(query, plan, requester, role, subjects,
                               use_warehouse, report, fingerprint,
@@ -492,11 +510,10 @@ class MediationEngine:
         entry = self.history.record(
             requester, attributes, signature, query.is_aggregate
         )
-        effects["history"] = entry.to_dict()
         telemetry.metrics.gauge("mediator.history_entries").set(
             len(self.history)
         )
-        return result
+        return result, entry.to_dict()
 
     def analyze(self, query, requester="anonymous", role=None, subjects=()):
         """Statically check a query without executing it.

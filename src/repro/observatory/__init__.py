@@ -18,10 +18,11 @@ for the paper's sequence attack as it develops:
   ``snooperwatch.alert`` event.
 
 :class:`Observatory` bundles both behind the interface the mediation
-engine drives: ``record_pose()`` after every pose, ``observe_result()``
-on answered aggregates.  Enable with ``PrivateIye(observatory=True)``
-(the engine holds ``observatory=None`` by default — one ``is None``
-check and the query path is untouched).
+engine's settle step drives: ``record_pose()`` for every settled pose,
+``observe_result()`` with an answered pose's released cells.  Enable
+with ``PrivateIye(observatory=True)`` (the engine holds
+``observatory=None`` by default — one ``is None`` check and the query
+path is untouched).
 """
 
 from __future__ import annotations
@@ -57,10 +58,9 @@ def released_cells(query, result):
     ``_source`` by the integrator), each an exact cell under the
     aggregate's alias — precisely the knowledge a Figure 1 adversary
     accumulates.  Returns ``[(measure, source, value), ...]``; empty
-    for non-aggregates and grouped queries.  Shared by the snooper
-    ledger fold below and by the engine's write-ahead pose record
-    (:mod:`repro.persistence`), so what is persisted is byte-for-byte
-    what the watch learned.
+    for non-aggregates and grouped queries.  Runs once per answered
+    pose, into its :class:`~repro.mediator.engine.PoseRecord`, so what
+    is persisted is byte-for-byte what the watch learned.
     """
     cells = []
     if (isinstance(query, PiqlQuery) and query.is_aggregate
@@ -102,25 +102,23 @@ class Observatory:
 
     # -- engine integration ------------------------------------------------
 
-    def record_pose(self, requester, fingerprint, status,
-                    per_source_loss=None, aggregated_loss=0.0, kind=None):
-        """Journal one pose; returns the :class:`JournalRecord`."""
+    def record_pose(self, pose):
+        """Journal a settled :class:`~repro.mediator.engine.PoseRecord`;
+        returns the :class:`JournalRecord`."""
         return self.journal.append(
-            requester, fingerprint, status,
-            per_source_loss=per_source_loss,
-            aggregated_loss=aggregated_loss, kind=kind,
+            pose.requester, pose.fingerprint, pose.status,
+            per_source_loss=pose.per_source_loss,
+            aggregated_loss=pose.aggregated_loss, kind=pose.refusal_kind,
         )
 
-    def observe_result(self, requester, query, result):
-        """Fold an answered result into the requester's snooper ledger.
+    def observe_result(self, requester, cells):
+        """Fold an answered pose's released cells into the snooper ledger.
 
-        Ungrouped aggregate results release exact per-source cells (the
-        integrator returns one row per source, tagged ``_source``), so
-        each becomes adversary knowledge under the aggregate's alias as
-        the measure label.  Then counts the pose and, on cadence,
-        replays the ledger; returns any fresh alerts.
+        ``cells`` are :func:`released_cells` ``(measure, source, value)``
+        triples, each adversary knowledge.  Then counts the pose and, on
+        cadence, replays the ledger; returns any fresh alerts.
         """
-        for measure, source, value in released_cells(query, result):
+        for measure, source, value in cells:
             self.watch.note_cell(requester, measure, source, value)
         return self.watch.note_pose(requester)
 
@@ -169,10 +167,6 @@ class Observatory:
     def alerts(self):
         """Every alert the watch has raised, oldest first."""
         return list(self.watch.alerts)
-
-    def verify(self):
-        """Verify the journal chain: ``(ok, first_bad_seq_or_None)``."""
-        return self.journal.verify_chain()
 
     def report(self):
         """A JSON-serializable observatory summary."""

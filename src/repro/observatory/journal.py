@@ -37,6 +37,7 @@ import hashlib
 import json
 import threading
 import time
+from dataclasses import dataclass, field
 
 from repro.errors import PersistenceError, ReproError
 
@@ -61,48 +62,33 @@ def _chain_hash(payload, prev_hash):
     ).hexdigest()
 
 
+@dataclass(frozen=True, slots=True)
 class JournalRecord:
     """One tamper-evident disclosure record (one ``pose()``)."""
 
-    __slots__ = ("seq", "ts", "requester", "fingerprint", "status", "kind",
-                 "per_source_loss", "aggregated_loss", "cumulative_loss",
-                 "prev_hash", "hash")
+    seq: int
+    ts: float
+    requester: str
+    fingerprint: str
+    status: str
+    kind: str | None                  # refusal kind, None if answered
+    per_source_loss: dict
+    aggregated_loss: float
+    cumulative_loss: float
+    prev_hash: str
+    hash: str = field(init=False)
 
-    def __init__(self, seq, ts, requester, fingerprint, status, kind,
-                 per_source_loss, aggregated_loss, cumulative_loss,
-                 prev_hash):
-        self.seq = seq
-        self.ts = ts
-        self.requester = requester
-        self.fingerprint = fingerprint
-        self.status = status
-        self.kind = kind                      # refusal kind, None if answered
-        self.per_source_loss = per_source_loss
-        self.aggregated_loss = aggregated_loss
-        self.cumulative_loss = cumulative_loss
-        self.prev_hash = prev_hash
-        self.hash = _chain_hash(self.payload(), prev_hash)
+    def __post_init__(self):
+        object.__setattr__(self, "hash",
+                           _chain_hash(self.payload(), self.prev_hash))
 
     def payload(self):
-        """The hashed material — every field except the hashes."""
-        return {
-            "seq": self.seq,
-            "ts": self.ts,
-            "requester": self.requester,
-            "fingerprint": self.fingerprint,
-            "status": self.status,
-            "kind": self.kind,
-            "per_source_loss": self.per_source_loss,
-            "aggregated_loss": self.aggregated_loss,
-            "cumulative_loss": self.cumulative_loss,
-        }
+        """The hashed material: every field but the last two, the hashes."""
+        return {name: getattr(self, name) for name in self.__slots__[:-2]}
 
     def to_dict(self):
         """JSON-serializable form (payload + chain hashes)."""
-        record = self.payload()
-        record["prev_hash"] = self.prev_hash
-        record["hash"] = self.hash
-        return record
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self):
         return (f"JournalRecord(#{self.seq} {self.requester!r} "

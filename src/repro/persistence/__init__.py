@@ -8,11 +8,13 @@ the hash-chained audit journal, SnooperWatch knowledge, cache epochs —
 behind a write-ahead log:
 
 * :class:`PersistenceSink` — the engine-facing front.  One record per
-  pose (requester, fingerprint, history delta, journal record,
-  per-source losses, released cells), appended durably **before** the
-  answer is released; plus records for out-of-band publications and
-  epoch bumps.  Periodically folds the log into a snapshot and
-  compacts.
+  pose — the flat fields of the engine's
+  :class:`~repro.mediator.engine.PoseRecord` (requester, fingerprint,
+  status, refusal, history delta, losses, released cells) plus the
+  journal record's chain fields under ``journal`` — appended durably
+  **before** anything else learns of the pose; plus records for
+  out-of-band publications and epoch bumps.  Periodically folds the log
+  into a snapshot and compacts.
 * backends — :class:`~repro.persistence.wal.WalBackend` (append-only
   JSONL + snapshot file, the one disk store) and
   :class:`~repro.persistence.base.MemoryBackend` (tests).  Select via
@@ -39,6 +41,7 @@ from repro.persistence.snapshot import capture_state
 from repro.persistence.wal import WalBackend
 
 __all__ = [
+    "CHAIN_FIELDS",
     "KIND_EPOCH",
     "KIND_POSE",
     "KIND_PUBLICATION",
@@ -53,6 +56,10 @@ __all__ = [
 KIND_POSE = "pose"
 KIND_PUBLICATION = "publication"
 KIND_EPOCH = "epoch"
+
+#: What a pose record keeps of its journal record under ``journal``;
+#: the rest of the hashed payload is the pose record's own fields.
+CHAIN_FIELDS = ("seq", "ts", "cumulative_loss", "prev_hash", "hash")
 
 #: Default compaction cadence (records between snapshots).
 DEFAULT_SNAPSHOT_EVERY = 256
@@ -114,15 +121,19 @@ class PersistenceSink:
 
     # -- recording (all durable before return) -------------------------------
 
-    def record_pose(self, effects):
-        """Durably append one pose's privacy effects; returns its seq.
+    def record_pose(self, pose, journal=None):
+        """Durably append one settled pose; returns its seq.
 
-        ``effects`` carries requester, fingerprint, status, the history
-        entry, the journal record (verbatim, hashes included), losses,
-        and released cells.  The engine calls this *before* releasing
-        the answer (or re-raising the refusal) — the write-ahead point.
+        ``pose`` is the engine's :class:`~repro.mediator.engine.
+        PoseRecord`, ``journal`` its journal record (``None`` without an
+        observatory).  Nothing else learns of the pose before this
+        returns — the write-ahead point.
         """
-        record = dict(effects)
+        record = pose.to_dict()
+        record["journal"] = (
+            None if journal is None
+            else {name: getattr(journal, name) for name in CHAIN_FIELDS}
+        )
         record["kind"] = KIND_POSE
         return self._append(record)
 

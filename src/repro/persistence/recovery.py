@@ -32,43 +32,34 @@ accounting that may have lost releases would void the guarantee.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.errors import PersistenceError
 from repro.observatory.journal import verify_records
-from repro.persistence import KIND_EPOCH, KIND_POSE, KIND_PUBLICATION
+from repro.persistence import CHAIN_FIELDS, KIND_EPOCH, KIND_POSE, KIND_PUBLICATION
 from repro.persistence.snapshot import validate_state
 
 
+@dataclass(frozen=True, slots=True)
 class RecoveryReport:
     """What one :func:`recover` call rebuilt — the operator's receipt."""
 
-    def __init__(self, backend, snapshot_through_seq, log_records,
-                 history_entries, journal_records, cumulative_loss,
-                 epochs, requesters, alerts):
-        self.backend = backend
-        self.snapshot_through_seq = snapshot_through_seq
-        self.log_records = log_records
-        self.history_entries = history_entries
-        self.journal_records = journal_records
-        self.chain_valid = True   # recover() raises before building
-        self.cumulative_loss = cumulative_loss
-        self.epochs = epochs
-        self.requesters = requesters
-        self.alerts = alerts
+    backend: str
+    snapshot_through_seq: int
+    log_records: int
+    history_entries: int
+    journal_records: int
+    chain_valid: bool                 # recover() raises before building
+    cumulative_loss: dict
+    epochs: dict
+    requesters: list
+    alerts: list
 
     def to_dict(self):
         """JSON-serializable form (ops runbooks print this)."""
-        return {
-            "backend": self.backend,
-            "snapshot_through_seq": self.snapshot_through_seq,
-            "log_records": self.log_records,
-            "history_entries": self.history_entries,
-            "journal_records": self.journal_records,
-            "chain_valid": self.chain_valid,
-            "cumulative_loss": self.cumulative_loss,
-            "epochs": self.epochs,
-            "requesters": self.requesters,
-            "alerts": [a.to_dict() for a in self.alerts],
-        }
+        document = {name: getattr(self, name) for name in self.__slots__}
+        document["alerts"] = [a.to_dict() for a in self.alerts]
+        return document
 
     def __repr__(self):
         return (f"RecoveryReport(history={self.history_entries}, "
@@ -79,18 +70,29 @@ class RecoveryReport:
 def journal_dicts_from(snapshot, records):
     """The full journal chain: snapshot head + logged pose tails.
 
-    Snapshots store journal records verbatim (hashes included) and the
-    log stores each pose's record the same way, so concatenating them
-    in order reconstitutes one chain that :func:`~repro.observatory.
-    journal.verify_records` can walk from the genesis hash — this is
-    what makes ``verify_chain()`` meaningful *across* the snapshot
+    Snapshots store journal records verbatim.  A logged pose keeps only
+    the journal's chain fields (older stores: the whole record); the
+    rest is rebuilt from the pose record's own fields, which the chain
+    therefore covers.  :func:`~repro.observatory.journal.verify_records`
+    walks the result from the genesis hash, across the snapshot
     boundary and the restart.
     """
     state = snapshot["state"] if snapshot else {}
     chain = list(state.get("journal") or [])
     for record in records:
-        if record.get("kind") == KIND_POSE and record.get("journal"):
-            chain.append(record["journal"])
+        link = record.get("journal")
+        if record.get("kind") != KIND_POSE or not link:
+            continue
+        chained = {name: link[name] for name in CHAIN_FIELDS}
+        chained.update(
+            requester=record["requester"],
+            fingerprint=record["fingerprint"],
+            status=record["status"],
+            kind=record.get("refusal_kind"),
+            per_source_loss=record.get("per_source_loss") or {},
+            aggregated_loss=float(record.get("aggregated_loss", 0.0)),
+        )
+        chain.append(chained)
     return chain
 
 
@@ -151,6 +153,7 @@ def recover(engine):
         log_records=len(records),
         history_entries=len(entries),
         journal_records=len(chain),
+        chain_valid=True,
         cumulative_loss=cumulative,
         epochs=(engine.cache.epochs.to_dict()
                 if engine.cache is not None else {}),
@@ -177,7 +180,7 @@ def _restore_watch(watch, state, records):
         if kind == KIND_POSE and record.get("status") == "answered":
             for measure, source, value in record.get("cells") or ():
                 watch.note_cell(requester, measure, source, value)
-            if record.get("pose_counted"):
+            if record.get("journal"):  # an observatory saw the pose
                 watch.absorb_poses({requester: 1})
         elif kind == KIND_PUBLICATION:
             for measure, stat in (record.get("row_stats") or {}).items():

@@ -145,11 +145,6 @@ class ExplainReport:
         """Record the fan-out summary (mode, policy, wall, breakers)."""
         self.dispatch = dict(info)
 
-    def set_integration(self, rows, duplicates_removed):
-        self.integration = {
-            "rows": rows, "duplicates_removed": duplicates_removed,
-        }
-
     def set_control(self, per_source_loss, aggregated_loss, max_loss,
                     notices):
         self.control = {
@@ -164,20 +159,6 @@ class ExplainReport:
             ],
         }
 
-    def set_audit(self, record):
-        """Record the disclosure-journal entry written for this pose.
-
-        ``record`` is an :class:`~repro.observatory.journal.JournalRecord`
-        (anything with ``to_dict()``); the ledger keeps the dict form —
-        including the chain hashes, so a report can be checked against
-        the journal later.
-        """
-        self.audit = record.to_dict()
-
-    def set_events(self, events):
-        """Record the structured events emitted while this pose ran."""
-        self.events = [e.to_dict() for e in events]
-
     def set_validation(self, summary):
         """Attach measured residual risk from the validation suite.
 
@@ -189,38 +170,34 @@ class ExplainReport:
         """
         self.validation = dict(summary)
 
-    def finish(self, status, error=None, duration_ms=None):
-        self.status = status
-        self.duration_ms = duration_ms
-        if error is not None:
-            self.refusal = {
-                "kind": type(error).__name__, "reason": str(error),
+    def finish(self, pose, audit=None, events=()):
+        """Close the ledger from the settled pose.
+
+        ``pose`` is the engine's :class:`~repro.mediator.engine.
+        PoseRecord`; ``audit`` its journal record (kept with its chain
+        hashes, so a report can be checked against the journal later);
+        ``events`` those emitted while the pose ran and settled.
+        """
+        self.status = pose.status
+        self.duration_ms = pose.duration_ms
+        if pose.status == "refused":
+            self.refusal = {"kind": pose.refusal_kind,
+                            "reason": pose.refusal_reason}
+        else:
+            self.integration = {
+                "rows": pose.rows,
+                "duplicates_removed": pose.duplicates_removed,
             }
+        self.audit = audit.to_dict() if audit is not None else None
+        self.events = [e.to_dict() for e in events]
 
     # -- reading -----------------------------------------------------------
 
     def to_dict(self):
         """Plain-dict form of the full ledger (JSON-serializable)."""
-        return {
-            "query": self.query,
-            "requester": self.requester,
-            "role": self.role,
-            "status": self.status,
-            "refusal": self.refusal,
-            "fragmentation": self.fragmentation,
-            "sequence_guard": self.sequence_guard,
-            "static": self.static,
-            "cache": self.cache,
-            "warehouse": self.warehouse,
-            "sources": dict(self.sources),
-            "dispatch": self.dispatch,
-            "integration": self.integration,
-            "control": self.control,
-            "audit": self.audit,
-            "events": self.events,
-            "validation": self.validation,
-            "duration_ms": self.duration_ms,
-        }
+        document = dict(vars(self))
+        document["sources"] = dict(self.sources)
+        return document
 
     def refusing_sources(self):
         """Names of sources whose outcome was a refusal."""
@@ -285,54 +262,13 @@ class NoopReport:
 
     __slots__ = ()
 
-    def set_fragmentation(self, plan):
+    def _absorb(self, *args, **kwargs):
         pass
 
-    def set_guard(self, verdict, reason=None):
-        pass
-
-    def set_static(self, verdict):
-        pass
-
-    def set_cache(self, info):
-        pass
-
-    def set_warehouse(self, stats):
-        pass
-
-    def set_warehouse_miss(self, mode):
-        pass
-
-    def source_answered(self, name, response, dispatch=None):
-        pass
-
-    def source_refused(self, name, refusal, dispatch=None):
-        pass
-
-    def source_unavailable(self, name, refusal, dispatch=None):
-        pass
-
-    def set_dispatch(self, info):
-        pass
-
-    def set_integration(self, rows, duplicates_removed):
-        pass
-
-    def set_control(self, per_source_loss, aggregated_loss, max_loss,
-                    notices):
-        pass
-
-    def set_audit(self, record):
-        pass
-
-    def set_events(self, events):
-        pass
-
-    def set_validation(self, summary):
-        pass
-
-    def finish(self, status, error=None, duration_ms=None):
-        pass
+    set_fragmentation = set_guard = set_static = set_cache = _absorb
+    set_warehouse = set_warehouse_miss = set_dispatch = set_control = _absorb
+    source_answered = source_refused = source_unavailable = _absorb
+    set_validation = finish = _absorb
 
     def to_dict(self):
         return {}

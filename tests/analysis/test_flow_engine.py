@@ -143,6 +143,48 @@ class TestCallMapping:
         """)
         assert len(analysis.findings) == 1
 
+    def test_dataclass_fields_carry_their_own_taint(self, tmp_path):
+        # the generated __init__ stores each argument in its field, so a
+        # method's self.<field> read sees exactly that argument's taint
+        analysis = analyze(tmp_path, """
+            from dataclasses import dataclass
+
+            @dataclass(frozen=True, slots=True)
+            class Record:
+                name: str
+                cells: tuple
+
+                @classmethod
+                def of(cls, name, table):
+                    return cls(name, tuple(table.rows_as_dicts()))
+
+                def announce(self, events):
+                    events.emit("named", name=self.name)
+                    events.emit("cells", cells=self.cells)
+
+            def go(table, events):
+                Record.of("t", table).announce(events)
+        """)
+        assert finding_lines(analysis) == [15]
+
+    def test_dataclass_keyword_arguments_map_to_their_fields(self, tmp_path):
+        analysis = analyze(tmp_path, """
+            from dataclasses import dataclass
+
+            @dataclass
+            class Record:
+                name: str
+                cells: tuple
+
+                def announce(self, events):
+                    events.emit("named", name=self.name)
+                    events.emit("cells", cells=self.cells)
+
+            def go(table, events):
+                Record(cells=(), name=table.rows_as_dicts()).announce(events)
+        """)
+        assert finding_lines(analysis) == [10]
+
     def test_loop_body_sinks_are_deduplicated(self, tmp_path):
         # the interpreter walks loop bodies twice; a sink inside one
         # must still produce exactly one finding

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import PersistenceError
+from repro.mediator.engine import PoseRecord
 from repro.persistence import (
     KIND_EPOCH,
     KIND_POSE,
@@ -14,10 +15,16 @@ from repro.persistence import (
 from repro.persistence.wal import WalBackend
 
 
+def pose(requester):
+    """A minimal answered pose record."""
+    return PoseRecord(requester, "f" * 32, "answered", None, None, None,
+                      None, {}, 0.0, (), 0, 0, 0.0)
+
+
 class TestRecording:
     def test_records_carry_kind_and_monotonic_seq(self):
         sink = PersistenceSink(MemoryBackend())
-        first = sink.record_pose({"requester": "epi", "status": "answered"})
+        first = sink.record_pose(pose("epi"))
         second = sink.record_epoch("schema", 3)
         third = sink.record_publication("HMO1", source_means={"HMO2": 6.1})
         assert (first, second, third) == (1, 2, 3)
@@ -40,16 +47,16 @@ class TestRecording:
 
     def test_seq_resumes_from_existing_store(self):
         backend = MemoryBackend()
-        PersistenceSink(backend).record_pose({"requester": "a"})
+        PersistenceSink(backend).record_pose(pose("a"))
         reopened = PersistenceSink(backend)
-        assert reopened.record_pose({"requester": "b"}) == 2
+        assert reopened.record_pose(pose("b")) == 2
 
     def test_suspended_drops_appends(self):
         sink = PersistenceSink(MemoryBackend())
-        sink.record_pose({"requester": "epi"})
+        sink.record_pose(pose("epi"))
         with sink.suspended():
-            assert sink.record_pose({"requester": "replayed"}) is None
-        sink.record_pose({"requester": "epi"})
+            assert sink.record_pose(pose("replayed")) is None
+        sink.record_pose(pose("epi"))
         _, records = sink.load()
         assert [r["seq"] for r in records] == [1, 2]
         assert all(r["requester"] != "replayed" for r in records)
@@ -66,7 +73,7 @@ class TestWriteAheadWindow:
             seen.append((record["seq"], [r["seq"] for r in records]))
 
         sink = PersistenceSink(backend, crash_hook=hook)
-        sink.record_pose({"requester": "epi"})
+        sink.record_pose(pose("epi"))
         assert seen == [(1, [1])]  # durable before the hook observed it
 
     def test_hook_raise_simulates_crash_but_record_is_charged(self):
@@ -80,7 +87,7 @@ class TestWriteAheadWindow:
 
         sink = PersistenceSink(backend, crash_hook=hook)
         with pytest.raises(Boom):
-            sink.record_pose({"requester": "epi"})
+            sink.record_pose(pose("epi"))
         _, records = backend.load()
         assert [r["seq"] for r in records] == [1]  # charged, not released
 
@@ -91,7 +98,7 @@ class TestCompaction:
         sink = PersistenceSink(backend, snapshot_every=3)
         sink.state_provider = lambda: {"version": 1, "mark": "auto"}
         for _ in range(7):
-            sink.record_pose({"requester": "epi"})
+            sink.record_pose(pose("epi"))
         snapshot, records = sink.load()
         assert snapshot["through_seq"] == 6  # compacted at 3 and 6
         assert snapshot["state"]["mark"] == "auto"
@@ -100,7 +107,7 @@ class TestCompaction:
     def test_no_auto_compaction_without_state_provider(self):
         sink = PersistenceSink(MemoryBackend(), snapshot_every=2)
         for _ in range(5):
-            sink.record_pose({"requester": "epi"})
+            sink.record_pose(pose("epi"))
         snapshot, records = sink.load()
         assert snapshot is None
         assert len(records) == 5
@@ -113,8 +120,8 @@ class TestCompaction:
     def test_compact_now_folds_everything_so_far(self):
         sink = PersistenceSink(MemoryBackend(), snapshot_every=None)
         sink.state_provider = lambda: {"version": 1}
-        sink.record_pose({"requester": "epi"})
-        sink.record_pose({"requester": "epi"})
+        sink.record_pose(pose("epi"))
+        sink.record_pose(pose("epi"))
         assert sink.compact_now() == 2
         snapshot, records = sink.load()
         assert snapshot["through_seq"] == 2
