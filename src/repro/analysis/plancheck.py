@@ -118,6 +118,7 @@ class PlanVerdict:
         self.max_loss = max_loss
         self.runtime_checks = list(runtime_checks)
         self.analysis_ms = analysis_ms
+        self._ledger = None
 
     @property
     def refusing_sources(self):
@@ -141,6 +142,16 @@ class PlanVerdict:
             "runtime_checks": list(self.runtime_checks),
             "analysis_ms": self.analysis_ms,
         }
+
+    def ledger(self):
+        """:meth:`to_dict`, rendered once per verdict: the explain section.
+
+        A static-tier hit hands later poses the same verdict, so they
+        share its one rendering; readers treat it as read-only.
+        """
+        if self._ledger is None:
+            self._ledger = self.to_dict()
+        return self._ledger
 
     def __repr__(self):
         return (

@@ -31,7 +31,11 @@ charging all happen around the cache, never behind it.
 from __future__ import annotations
 
 from repro.cache.epochs import EpochRegistry
-from repro.cache.fingerprint import canonical_piql, plan_fingerprint
+from repro.cache.fingerprint import (
+    canonical_piql,
+    canonical_render,
+    plan_fingerprint,
+)
 from repro.cache.lru import DEFAULT_MAX_ENTRIES, CacheStats, LRUCache
 from repro.cache.mediation import (
     POLICY_EPOCH,
@@ -50,6 +54,7 @@ __all__ = [
     "POLICY_EPOCH",
     "SCHEMA_EPOCH",
     "canonical_piql",
+    "canonical_render",
     "plan_fingerprint",
     "requester_key",
     "resolve_cache",

@@ -37,10 +37,21 @@ def canonical_piql(query):
     Returns PIQL text such that queries differing only in conjunct
     order render identically.  The input query is never mutated.
     """
+    return canonical_render(query)[0]
+
+
+def canonical_render(query):
+    """``(canonical_piql(query), as_posed)``.
+
+    ``as_posed`` is true when the WHERE conjuncts were already in
+    canonical order: the text is then ``to_piql(query)`` as well, so a
+    caller that needs both renders the query once.
+    """
     ordered = sorted(query.where, key=repr)
-    if ordered != query.where:
+    as_posed = ordered == query.where
+    if not as_posed:
         query = query.clone(where=ordered)
-    return to_piql(query)
+    return to_piql(query), as_posed
 
 
 def plan_fingerprint(canonical, requester=None, role=None, subjects=(),

@@ -33,7 +33,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.analysis.plancheck import REFUSE, resolve_static_check
-from repro.cache import canonical_piql, plan_fingerprint, resolve_cache
+from repro.cache import canonical_render, plan_fingerprint, resolve_cache
 from repro.errors import (
     AuditRefusal,
     IntegrationError,
@@ -358,11 +358,14 @@ class MediationEngine:
             raise IntegrationError("pose needs PIQL text or a PiqlQuery")
 
         telemetry = self.telemetry
-        report = telemetry.explain.begin(query, requester, role)
         # Tier-1 fingerprint: canonical text + principal + policy epoch.
         # Hoisted out of the pipeline body so a refused pose settles
-        # under the same identity as an answered one.
-        canonical = canonical_piql(query)
+        # under the same identity as an answered one.  When the posed
+        # conjunct order is canonical, the ledger reuses the text.
+        canonical, as_posed = canonical_render(query)
+        report = telemetry.explain.begin(
+            canonical if as_posed else query, requester, role
+        )
         policy_epoch = self._policy_epoch()
         fingerprint = plan_fingerprint(canonical, requester, role,
                                        subjects, policy_epoch)

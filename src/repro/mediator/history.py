@@ -73,6 +73,9 @@ class MediatorHistory:
 
     def __init__(self):
         self._entries = []
+        # requester -> that requester's entries, oldest first: the guard
+        # reads its window without walking other requesters' entries.
+        self._by_requester = {}
         self._sequence = 0
 
     def record(self, requester, attributes, predicate_signature,
@@ -84,13 +87,22 @@ class MediatorHistory:
             is_aggregate, refused,
         )
         self._entries.append(entry)
+        self._by_requester.setdefault(requester, []).append(entry)
         return entry
 
     def entries(self, requester=None):
         """All entries, optionally filtered by requester."""
         if requester is None:
             return list(self._entries)
-        return [e for e in self._entries if e.requester == requester]
+        return list(self._by_requester.get(requester, ()))
+
+    def recent(self, requester, window):
+        """The requester's last ``window`` entries, oldest first.
+
+        Reads only those entries: the cost does not grow with the
+        history, which is what keeps a warm guard check O(window).
+        """
+        return self._by_requester.get(requester, [])[-window:]
 
     def state_dict(self):
         """Snapshot form: the full entry list plus the sequence cursor.
@@ -118,6 +130,8 @@ class MediatorHistory:
                 f"({len(self._entries)} live entries)"
             )
         self._entries = [HistoryEntry.from_dict(e) for e in entries]
+        for entry in self._entries:
+            self._by_requester.setdefault(entry.requester, []).append(entry)
         self._sequence = max(
             (e.sequence for e in self._entries), default=0
         )
@@ -154,7 +168,7 @@ class SequenceGuard:
             return
         metrics = self.telemetry.metrics
         metrics.counter("sequence_guard.checks").inc()
-        recent = self.history.entries(requester)[-self.window:]
+        recent = self.history.recent(requester, self.window)
         for attribute in probed:
             signatures = {
                 entry.predicate_signature

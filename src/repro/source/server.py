@@ -203,13 +203,14 @@ class RemoteSource:
         interprets the plan and :meth:`answer` executes it.  ``memo`` is
         the per-pose dict the engine keeps for this source (a batch keeps
         one across its queries): the plan, or the refusal it raised, is
-        kept there under the MAXLOSS-stripped fragment, the principal
-        and the policy-store version, so whichever of the gate and the
-        source compiles first serves the other.  A refusal replays as
+        kept there under the MAXLOSS-stripped fragment text (rendered
+        once per fragment, :func:`_fragment_text`), the principal and the
+        policy-store version, so whichever of the gate and the source
+        compiles first serves the other.  A refusal replays as
         the same exception object; its readers only take its type and
         message.
         """
-        key = (piql_without_maxloss(piql), requester, role, tuple(subjects),
+        key = (_fragment_text(piql, memo), requester, role, tuple(subjects),
                self.policy_store.version)
         if memo is not None:
             cached = memo.get(key)
@@ -546,6 +547,23 @@ class RemoteSource:
 
     def __repr__(self):
         return f"RemoteSource({self.name!r}, rows={len(self.table)})"
+
+
+def _fragment_text(piql, memo):
+    """``piql_without_maxloss(piql)``, rendered once per fragment per memo.
+
+    The gate and the source both prepare each fragment of a pose; the
+    memo keeps the text under the fragment object (which it holds, so
+    the identity cannot be reused while the pose runs) and the second
+    :meth:`RemoteSource.prepare` reads the first one's render.
+    """
+    if memo is None:
+        return piql_without_maxloss(piql)
+    texts = memo.setdefault("fragment_text", {})
+    text = texts.get(piql)
+    if text is None:
+        text = texts[piql] = piql_without_maxloss(piql)
+    return text
 
 
 def _scale_aware_round(value, base):

@@ -153,9 +153,20 @@ class EventLog:
             return self._seq
 
     def since(self, mark):
-        """Events emitted after sequence number ``mark``, oldest first."""
+        """Events emitted after sequence number ``mark``, oldest first.
+
+        Sequence numbers rise along the ring, so the scan runs from the
+        newest end and stops at the first event at or before ``mark``:
+        a settle reads its own pose's few events, not the whole ring.
+        """
+        window = []
         with self._lock:
-            return [e for e in self._ring if e.seq > mark]
+            for event in reversed(self._ring):
+                if event.seq <= mark:
+                    break
+                window.append(event)
+        window.reverse()
+        return window
 
     @property
     def dropped_events(self):

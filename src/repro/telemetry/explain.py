@@ -74,11 +74,12 @@ class ExplainReport:
     def set_static(self, verdict):
         """Record the pre-dispatch static plan-check verdict.
 
-        ``verdict`` is a :class:`repro.analysis.plancheck.PlanVerdict`
-        (anything with ``to_dict()``); the ledger keeps its dict form so
-        reports stay JSON-serializable.
+        ``verdict`` is a :class:`repro.analysis.plancheck.PlanVerdict`;
+        the ledger keeps its dict form (rendered once per verdict, see
+        :meth:`~repro.analysis.plancheck.PlanVerdict.ledger`) so reports
+        stay JSON-serializable.
         """
-        self.static = verdict.to_dict()
+        self.static = verdict.ledger()
 
     def set_cache(self, info):
         """Record the mediation-cache section (engine may call repeatedly
@@ -235,7 +236,10 @@ class ExplainLog:
         self._reports = deque(maxlen=max_reports)
 
     def begin(self, query, requester, role):
-        """Open (and retain) a report for a ``pose()`` call."""
+        """Open (and retain) a report for a ``pose()`` call.
+
+        ``query`` is a PIQL query or its already-rendered text.
+        """
         report = ExplainReport(query, requester, role)
         self._reports.append(report)
         return report

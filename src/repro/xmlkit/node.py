@@ -1,9 +1,10 @@
 """Element tree for the XML data model.
 
-An :class:`Element` has a tag, an attribute dictionary, an ordered list of
-children (elements or text strings), and a parent back-pointer maintained by
-the mutation helpers.  The tree is deliberately small: it supports exactly
-what the mediation engine and the per-source result transformers need —
+An :class:`Element` has a tag, an attribute dictionary and an ordered list
+of children (elements or text strings).  Nodes hold no parent back-pointer,
+so a tree is acyclic and reference counting frees it the moment its last
+user lets go.  The tree is deliberately small: it supports exactly what the
+mediation engine and the per-source result transformers need —
 construction, navigation, deep copies, and structural equality.
 """
 
@@ -21,7 +22,7 @@ class Element:
     plain strings (text nodes).  Attribute values are always strings.
     """
 
-    __slots__ = ("tag", "attrs", "children", "parent")
+    __slots__ = ("tag", "attrs", "children")
 
     def __init__(self, tag, attrs=None, children=None):
         if not tag or not _is_name(tag):
@@ -32,7 +33,6 @@ class Element:
         self.tag = tag
         self.attrs = dict(attrs) if attrs else {}
         self.children = []
-        self.parent = None
         for child in children or []:
             self.append(child)
 
@@ -40,9 +40,7 @@ class Element:
 
     def append(self, child):
         """Append ``child`` (an :class:`Element` or a text string)."""
-        if isinstance(child, Element):
-            child.parent = self
-        elif not isinstance(child, str):
+        if not isinstance(child, (Element, str)):
             raise XmlError(f"child must be Element or str, got {type(child).__name__}")
         self.children.append(child)
         return child
@@ -61,8 +59,6 @@ class Element:
     def remove(self, child):
         """Remove a direct child element."""
         self.children.remove(child)
-        if isinstance(child, Element):
-            child.parent = None
 
     # -- navigation -------------------------------------------------------
 
@@ -97,27 +93,10 @@ class Element:
         """Concatenated direct text content of this element."""
         return "".join(c for c in self.children if isinstance(c, str))
 
-    def depth(self):
-        """Distance from the root (root has depth 0)."""
-        node, count = self, 0
-        while node.parent is not None:
-            node = node.parent
-            count += 1
-        return count
-
-    def path_tags(self):
-        """Tags from the root down to this element, inclusive."""
-        tags = []
-        node = self
-        while node is not None:
-            tags.append(node.tag)
-            node = node.parent
-        return list(reversed(tags))
-
     # -- copying / equality ------------------------------------------------
 
     def copy(self):
-        """Deep-copy this subtree (the copy has no parent)."""
+        """Deep-copy this subtree."""
         clone = Element(self.tag, self.attrs)
         for child in self.children:
             clone.append(child.copy() if isinstance(child, Element) else child)

@@ -5,7 +5,8 @@ record and the ``mediator.queries_*`` counters must agree on who posed
 what, how it ended, what it cost and under which trace.  The event is
 emitted only once the WAL record is durable, for both statuses.  And a
 refused pose must not leave a reference cycle through its per-pose plan
-memos (memo → refusal → traceback → frame → memo).
+memos (memo → refusal → traceback → frame → memo), nor an answered one
+any cyclic garbage at all.
 """
 
 import gc
@@ -155,6 +156,14 @@ class TestNoCyclesLeftBehind:
             lambda: pose(system, FORBIDDEN, "advertiser")
         )
         assert not garbage & {"frame", "traceback"}
+
+    @pytest.mark.parametrize("persistence", [None, True])
+    def test_an_answered_pose_leaves_no_cyclic_garbage(self, persistence):
+        # result documents are acyclic trees: no parent back-pointers
+        system = build_system(persistence=persistence)
+        pose(system, AGGREGATE, "warmup")
+        garbage = cyclic_garbage(lambda: pose(system, AGGREGATE, "epi"))
+        assert garbage == set()
 
     def test_a_refused_batch_leaves_no_frames_or_tracebacks(self):
         system = build_system()

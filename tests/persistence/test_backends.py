@@ -151,6 +151,52 @@ class TestWalCrashAnatomy:
             reopened.close()
 
 
+class TestWalCompactionReads:
+    """A compaction re-reads the log only when it may keep a tail."""
+
+    @staticmethod
+    def count_reads(store, monkeypatch):
+        reads = []
+        original = store._read_log
+
+        def read_log():
+            reads.append(1)
+            return original()
+
+        monkeypatch.setattr(store, "_read_log", read_log)
+        return reads
+
+    def test_through_the_newest_record_truncates_without_reading(
+            self, tmp_path, monkeypatch):
+        store = WalBackend(tmp_path / "wal")
+        try:
+            reads = self.count_reads(store, monkeypatch)
+            append_n(store, 4)
+            store.compact({"version": 1}, 4)
+            assert reads == []
+            append_n(store, 2, start=5)
+            store.compact({"version": 1}, 5)   # keeps seq 6: must read
+            assert reads == [1]
+            assert [r["seq"] for r in store.load()[1]] == [6]
+        finally:
+            store.close()
+
+    def test_reopened_log_is_read_before_it_is_truncated(
+            self, tmp_path, monkeypatch):
+        first = WalBackend(tmp_path / "wal")
+        append_n(first, 3)
+        first.close()
+        store = WalBackend(tmp_path / "wal")
+        try:
+            reads = self.count_reads(store, monkeypatch)
+            append_n(store, 1, start=4)
+            store.compact({"version": 1}, 3)   # its newest seq is unknown
+            assert reads == [1]
+            assert [r["seq"] for r in store.load()[1]] == [4]
+        finally:
+            store.close()
+
+
 class TestWalOpen:
     def test_path_naming_a_regular_file_is_a_persistence_error(
             self, tmp_path):

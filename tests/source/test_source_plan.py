@@ -3,8 +3,9 @@
 The static gate, the source and the batch path share one compile of
 transform → policy → rewrite → consent fold: whichever of the gate and
 the source runs first writes the engine's per-pose memo, the other reads
-it.  These tests count the compiles, pin what the memo keys on, and hold
-the budget refusal ahead of the recording sequence defenses.
+it.  These tests count the compiles and the renders of the memo key,
+pin what the memo keys on, and hold the budget refusal ahead of the
+recording sequence defenses.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import pytest
 
 from repro.errors import PrivacyViolation
 from repro.query import parse_piql
+from repro.source import server
 from repro.source.server import SourcePlan
 from tests.analysis.test_differential import build_system as build_ungated
 from tests.mediator.test_static_gate import build_system as build_gated
@@ -122,6 +124,37 @@ class TestOneCompilePerPose:
         system.query(RECORD, requester="r1")
         system.query(RECORD, requester="r1")
         assert calls == {"clinic": 2, "lab": 2}
+
+
+def count_renders(monkeypatch):
+    """Count the plan-memo key renders; returns a one-item list."""
+    renders = [0]
+    original = server.piql_without_maxloss
+
+    def render(piql):
+        renders[0] += 1
+        return original(piql)
+
+    monkeypatch.setattr(server, "piql_without_maxloss", render)
+    return renders
+
+
+class TestKeyRenderedOncePerFragment:
+    """The gate and the source share one render of each fragment's key."""
+
+    def test_pose_renders_each_fragment_once(self, monkeypatch):
+        system = build_gated()
+        renders = count_renders(monkeypatch)
+        system.query(RECORD, requester="r1")
+        assert renders == [2]   # one fragment per source
+
+    def test_batch_renders_each_fragment_once(self, monkeypatch):
+        system = build_gated()
+        renders = count_renders(monkeypatch)
+        texts = [f"{RECORD} MAXLOSS {loss}" for loss in (0.9, 0.8, 0.7)]
+        outcomes = system.pose_many(texts, requester="r1")
+        assert all(outcome.ok for outcome in outcomes)
+        assert renders == [6]   # three queries, one fragment per source
 
 
 class TestBudgetBeforeRecordingDefenses:

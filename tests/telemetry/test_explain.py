@@ -3,6 +3,8 @@
 import pytest
 
 from repro import AuditRefusal, PrivacyViolation, PrivateIye
+from repro.analysis.plancheck import PlanVerdict
+from repro.query.language import parse_piql, to_piql
 from repro.errors import PathError, Refusal
 from repro.relational import Table
 from repro.telemetry import NOOP, NOOP_REPORT, Telemetry, resolve_telemetry
@@ -100,6 +102,36 @@ class TestAnsweredQueryLedger:
         snapshot = system.metrics_snapshot()
         assert snapshot["counters"]["warehouse.hits"] == 1
         assert snapshot["counters"]["warehouse.misses"] == 1
+
+    def test_static_section_is_rendered_once_per_verdict(self,
+                                                         monkeypatch):
+        renders = []
+        original = PlanVerdict.to_dict
+
+        def to_dict(verdict):
+            renders.append(verdict)
+            return original(verdict)
+
+        monkeypatch.setattr(PlanVerdict, "to_dict", to_dict)
+        system = build_system()
+        for _ in range(3):   # the static tier serves poses 2 and 3
+            system.query(AGGREGATE, requester="epi")
+        first, *rest = system.telemetry.explain.reports()
+        assert len(renders) == 1
+        assert all(report.static == first.static for report in rest)
+        assert first.query == AGGREGATE
+
+    @pytest.mark.parametrize("conjuncts", [
+        ("//patient/city = 'erie'", "//patient/city != 'butler'"),
+        ("//patient/city != 'butler'", "//patient/city = 'erie'"),
+    ])
+    def test_ledger_keeps_the_posed_conjunct_order(self, conjuncts):
+        # one order is canonical (its text is reused), the other is not
+        text = (f"SELECT //patient/city WHERE {' AND '.join(conjuncts)} "
+                "PURPOSE research")
+        system = build_system()
+        system.query(text, requester="epi")
+        assert system.explain_last().query == to_piql(parse_piql(text))
 
     def test_explain_last_filters_by_requester(self):
         system = build_system()

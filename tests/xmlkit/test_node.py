@@ -31,10 +31,10 @@ class TestConstruction:
         with pytest.raises(XmlError):
             root.append(42)
 
-    def test_append_sets_parent(self):
+    def test_append_returns_the_child(self):
         root = Element("r")
         child = root.append(Element("c"))
-        assert child.parent is root
+        assert root.children == [child]
 
     def test_set_attribute_coerces_to_str(self):
         node = Element("n")
@@ -56,11 +56,10 @@ class TestConstruction:
         node.extend([Element("a"), "txt", Element("b")])
         assert [c.tag for c in node.child_elements()] == ["a", "b"]
 
-    def test_remove_clears_parent(self):
+    def test_remove_detaches_the_child(self):
         root = Element("r")
         child = root.append(Element("c"))
         root.remove(child)
-        assert child.parent is None
         assert root.children == []
 
 
@@ -91,18 +90,11 @@ class TestNavigation:
         tests = sample_tree().find("patient").find("tests")
         assert text_of(tests) == "7556"
 
-    def test_depth_and_path_tags(self):
-        root = sample_tree()
-        test = root.find("patient").find("tests").find("test")
-        assert test.depth() == 3
-        assert test.path_tags() == ["clinic", "patient", "tests", "test"]
-
 
 class TestCopyEquality:
     def test_copy_is_deep_and_detached(self):
         root = sample_tree()
         clone = root.copy()
-        assert clone.parent is None
         assert clone.structurally_equal(root)
         clone.find("patient").set("id", "p2")
         assert root.find("patient").get("id") == "p1"
