@@ -6,10 +6,10 @@ from the query and policies alone — except the few that depend on data
 or history.  :class:`PlanAnalyzer` exploits that split.  For each source
 of a fragmentation plan it interprets the source's own compiled plan
 (:meth:`repro.source.server.RemoteSource.prepare`: transform → policy
-decisions → rewrite → consent fold → features) with the *actual runtime
-components* up to — but excluding — execution:
+decisions → rewrite → consent fold → features and taint labels) with
+the *actual runtime components* up to — but excluding — execution:
 
-    source plan → taint labels → cluster peek → loss estimate
+    source plan → cluster peek → loss estimate
                 → budget comparison → decidable sequence defenses
 
 and classifies the source as statically **answering**, statically
@@ -60,7 +60,6 @@ from repro.errors import (
 )
 from repro.metrics.privacy_loss import budget_fixed_point, compound_loss
 from repro.query.features import features_with_budget
-from repro.query.language import to_piql
 
 #: Verdicts, ordered SAFE > RUNTIME_CHECK > REFUSE (certainty of answering).
 SAFE = "SAFE"
@@ -163,15 +162,6 @@ class PlanVerdict:
 class PlanAnalyzer:
     """Taint-tracking abstract interpreter over fragmentation plans."""
 
-    def __init__(self, cache=None):
-        # Tier-2b of repro.cache: per-source static outcomes, memoized
-        # on everything the interpretation reads (fragment text,
-        # principal, policy-store version, table size, overlap state).
-        # Duck-typed (anything with get/put, e.g. an LRUCache) and
-        # injected by the engine so one shared tier serves the gate and
-        # direct ``analyze()`` calls; None disables memoization.
-        self.cache = cache
-
     def analyze(self, query, plan, sources, requester=None, role=None,
                 subjects=(), memos=None):
         """Statically check ``plan`` (a :class:`FragmentPlan`) for ``query``.
@@ -202,21 +192,14 @@ class PlanAnalyzer:
 
     def _analyze_source(self, remote, name, fragment, requester, role,
                         subjects, memo=None):
-        key = self._outcome_key(remote, name, fragment, requester, role,
-                                subjects)
-        if key is not None:
-            outcome, hit = self.cache.get(key)
-            if hit:
-                return outcome
         try:
-            outcome = self._interpret(remote, name, fragment, requester,
-                                      role, subjects, memo)
+            return self._interpret(remote, name, fragment, requester,
+                                   role, subjects, memo)
         except AccessDenied:
             raise  # runtime fails fast on RBAC; the gate must too
         except (PrivacyViolation, PathError) as error:
-            # the exact refusal the dispatcher would record as final —
-            # cacheable below precisely because refusals are final
-            outcome = SourceStaticOutcome(
+            # the exact refusal the dispatcher would record as final
+            return SourceStaticOutcome(
                 name, REFUSES,
                 refusal_kind=type(error).__name__,
                 refusal_reason=str(error),
@@ -224,54 +207,19 @@ class PlanAnalyzer:
         except (ReproError, AttributeError, TypeError, KeyError) as error:
             # Unanalyzable source (duck-typed test double, exotic
             # configuration): stay sound by deferring to runtime rather
-            # than guessing.  Never cached: the double's behaviour is
-            # not captured by the key.
+            # than guessing.
             return SourceStaticOutcome(
                 name, RUNTIME,
                 runtime_checks=[f"{name}: not statically analyzable "
                                 f"({type(error).__name__}: {error})"],
             )
-        if key is not None:
-            self.cache.put(key, outcome)
-        return outcome
-
-    def _outcome_key(self, remote, name, fragment, requester, role,
-                     subjects):
-        """The memo key for one source interpretation, or None.
-
-        The key must pin every input ``_interpret`` reads: the rendered
-        fragment (includes purpose and MAXLOSS), the principal, the
-        source's policy-store version (any registration bumps it), the
-        table size (the no-WHERE set-size check depends on it), and
-        whether overlap control is armed.  Sources that do not expose
-        these (duck-typed doubles) are simply not memoized.
-        """
-        if self.cache is None:
-            return None
-        try:
-            version = remote.policy_store.version
-            table_rows = len(remote.table)
-            overlap_armed = remote.overlap is not None
-        except (AttributeError, TypeError):
-            return None
-        if not isinstance(version, int):
-            return None
-        return (name, to_piql(fragment), requester, role, tuple(subjects),
-                version, table_rows, overlap_armed)
 
     def _interpret(self, remote, name, fragment, requester, role, subjects,
                    memo=None):
         # prepare raises the AccessDenied / PrivacyViolation the runtime
         # would, caught by _analyze_source above.
         plan = remote.prepare(fragment, requester, role, subjects, memo=memo)
-        # labels are a pure function of the plan: one per plan per pose
-        labels_of = {} if memo is None else memo.setdefault("labels", {})
-        labels = labels_of.get(plan.key)
-        if labels is None:
-            labels = labels_of[plan.key] = taint.label_source_query(
-                name, plan.transform.query, plan.transform.column_of_path,
-                plan.decisions,
-            )
+        labels = plan.labels
         features = features_with_budget(plan.features, fragment.max_loss)
         techniques = remote.clusterer.peek(features)
         estimate = remote.loss_estimator.estimate(plan.rewrite, features,

@@ -9,9 +9,10 @@ This package is that key discipline, in three tiers:
 * **tier 1 — plan fingerprints** (:mod:`repro.cache.fingerprint`):
   canonical PIQL + requester + role + subjects + policy epoch, hashed
   once per ``pose()``; fragmentation plans memoize behind it;
-* **tier 2 — static verdicts and rewrites**
-  (:mod:`repro.cache.mediation`): plan-check verdicts (including final
-  REFUSEs) and per-source static outcomes;
+* **tier 2 — static verdicts** (:mod:`repro.cache.mediation`):
+  plan-check verdicts (including final REFUSEs), and beside them each
+  source's compiled plans across poses, keyed without the requester
+  (RBAC is checked on every pose, never cached);
 * **tier 3 — epoch-invalidated answers**: the
   :class:`~repro.mediator.warehouse.Warehouse` stores integrated
   results tagged with the epoch vector (:mod:`repro.cache.epochs`) they

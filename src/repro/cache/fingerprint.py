@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.query.language import to_piql
+from repro.query.language import join_clauses, piql_clauses
 
 #: Unit separator — cannot appear in rendered PIQL, so joined fields
 #: cannot collide by concatenation.
@@ -41,17 +41,20 @@ def canonical_piql(query):
 
 
 def canonical_render(query):
-    """``(canonical_piql(query), as_posed)``.
+    """``(canonical_piql(query), to_piql(query))``.
 
-    ``as_posed`` is true when the WHERE conjuncts were already in
-    canonical order: the text is then ``to_piql(query)`` as well, so a
-    caller that needs both renders the query once.
+    Each clause is rendered once; the WHERE conjuncts are joined in
+    canonical order and, when the posed order differs, in that order
+    too, so a caller that needs both texts renders the query once.
     """
-    ordered = sorted(query.where, key=repr)
-    as_posed = ordered == query.where
-    if not as_posed:
-        query = query.clone(where=ordered)
-    return to_piql(query), as_posed
+    head, conjuncts, tail = piql_clauses(query)
+    where = query.where
+    order = sorted(range(len(where)), key=lambda i: repr(where[i]))
+    posed = join_clauses(head, conjuncts, tail)
+    if order == sorted(order):
+        return posed, posed
+    canonical = join_clauses(head, [conjuncts[i] for i in order], tail)
+    return canonical, posed
 
 
 def plan_fingerprint(canonical, requester=None, role=None, subjects=(),

@@ -1,4 +1,4 @@
-"""The multi-tier mediation cache (plan / static / rewrite tiers).
+"""The multi-tier mediation cache (plan / static / source-plan tiers).
 
 One :class:`MediationCache` instance rides inside a
 :class:`~repro.mediator.engine.MediationEngine` and owns
@@ -10,10 +10,11 @@ One :class:`MediationCache` instance rides inside a
   ``REFUSE`` is replayed identically, which is sound because refusals
   are final (PR 2's invariant) and the fingerprint already pins the
   policy epoch they were decided under;
-* **tier 2b — rewrites**: per-source static outcomes, shared with the
-  :class:`~repro.analysis.plancheck.PlanAnalyzer` so distinct plans
-  touching the same (source, fragment, principal, policy-version) reuse
-  the per-source interpretation;
+* **source plans** (stats key ``rewrite``): each registered source's
+  compiled :class:`~repro.source.server.SourcePlan`s (or compile
+  refusals) across poses, keyed without the requester by
+  :meth:`~repro.source.server.RemoteSource.prepare`, which checks RBAC
+  on every pose, hit or miss;
 * the **epoch registry** driving tier 3 (the warehouse answer cache) —
   see :mod:`repro.cache.epochs` for the invalidation model.
 
@@ -53,11 +54,12 @@ class MediationCache:
                               clock=clock, telemetry=self._telemetry)
         self.static = LRUCache("static", max_entries=max_entries, ttl=ttl,
                                clock=clock, telemetry=self._telemetry)
-        # Rewrite outcomes are per (plan, source): give the tier room for
-        # a few sources per cached plan before LRU pressure sets in.
-        self.rewrites = LRUCache("rewrite", max_entries=max_entries * 4,
-                                 ttl=ttl, clock=clock,
-                                 telemetry=self._telemetry)
+        # Source plans are per (fragment, source): give the tier room
+        # for a few sources per cached plan before LRU pressure sets in.
+        # The engine injects it into every source it registers.
+        self.source_plans = LRUCache("rewrite",
+                                     max_entries=max_entries * 4, ttl=ttl,
+                                     clock=clock, telemetry=self._telemetry)
         self.epochs = EpochRegistry()
         self.epochs.events = self._telemetry.events
         self.max_probe_signatures = max_probe_signatures
@@ -80,7 +82,7 @@ class MediationCache:
         """
         with self._lock:
             self._telemetry = value
-            for tier in (self.plans, self.static, self.rewrites):
+            for tier in (self.plans, self.static, self.source_plans):
                 tier.telemetry = value
             self.epochs.events = value.events
 
@@ -188,14 +190,14 @@ class MediationCache:
             self._probes.clear()
         return {
             tier.name: tier.clear()
-            for tier in (self.plans, self.static, self.rewrites)
+            for tier in (self.plans, self.static, self.source_plans)
         }
 
     def stats(self):
         """Per-tier stats snapshot plus the current epoch counters."""
         info = {
             tier.name: tier.snapshot()
-            for tier in (self.plans, self.static, self.rewrites)
+            for tier in (self.plans, self.static, self.source_plans)
         }
         info["epochs"] = self.epochs.to_dict()
         return info
@@ -203,7 +205,8 @@ class MediationCache:
     def __repr__(self):
         return (
             f"MediationCache(plans={len(self.plans)}, "
-            f"static={len(self.static)}, rewrites={len(self.rewrites)})"
+            f"static={len(self.static)}, "
+            f"source_plans={len(self.source_plans)})"
         )
 
 

@@ -17,9 +17,10 @@ The shared tiers:
 * per-source plan memos (``shared[name]``), handed to the static
   gate and to :meth:`repro.source.server.RemoteSource.answer` as
   ``shared=``: one :class:`~repro.source.server.SourcePlan` per
-  (MAXLOSS-stripped fragment, principal, policy version), whoever
-  compiles it first, plus nested tiers (selectivities, record-level
-  documents, taint labels); a lone ``pose()`` gets fresh ones;
+  (MAXLOSS-stripped fragment, role, subjects, policy state), whoever
+  compiles it first (or the cache's cross-pose source-plan tier),
+  plus nested tiers (selectivities, record-level documents); a lone
+  ``pose()`` gets fresh ones;
 * ``integrate_memo`` — integration output per (mediated-name mapping,
   aggregate flag, exact response documents); every query gets fresh
   row dicts so results stay independently mutable.

@@ -185,9 +185,6 @@ class MediationEngine:
         self.cache = resolve_cache(cache)
         if self.cache is not None:
             self.cache.telemetry = self.telemetry
-            if (self.static_analyzer is not None
-                    and self.static_analyzer.cache is None):
-                self.static_analyzer.cache = self.cache.rewrites
 
         # ``observatory``: None (default — the query path carries a single
         # ``is None`` check and nothing else), True (fresh disclosure
@@ -227,12 +224,16 @@ class MediationEngine:
 
         The source adopts the engine's telemetry unless it was built with
         its own enabled instance, so per-source pipeline spans land in the
-        same trace as the mediator's.
+        same trace as the mediator's, and the cache's source-plan tier,
+        so its compiled plans outlive the pose (see
+        :meth:`~repro.source.server.RemoteSource.prepare`).
         """
         if remote.name in self.sources:
             raise IntegrationError(f"source {remote.name!r} already registered")
         if not remote.telemetry.enabled:
             remote.telemetry = self.telemetry
+        if self.cache is not None:
+            remote.plan_tier = self.cache.source_plans
         self.sources[remote.name] = remote
         self.schema = None  # invalidate; rebuilt lazily
         if self.cache is not None:
@@ -360,12 +361,10 @@ class MediationEngine:
         telemetry = self.telemetry
         # Tier-1 fingerprint: canonical text + principal + policy epoch.
         # Hoisted out of the pipeline body so a refused pose settles
-        # under the same identity as an answered one.  When the posed
-        # conjunct order is canonical, the ledger reuses the text.
-        canonical, as_posed = canonical_render(query)
-        report = telemetry.explain.begin(
-            canonical if as_posed else query, requester, role
-        )
+        # under the same identity as an answered one.  The ledger keeps
+        # the posed text, rendered alongside the canonical one.
+        canonical, posed = canonical_render(query)
+        report = telemetry.explain.begin(posed, requester, role)
         policy_epoch = self._policy_epoch()
         fingerprint = plan_fingerprint(canonical, requester, role,
                                        subjects, policy_epoch)
@@ -471,6 +470,14 @@ class MediationEngine:
             "answer": "off",
         }
         report.set_cache(cache_info)
+
+        # RBAC on every pose, where the gate would check it: the static
+        # and answer tiers serve by fingerprint, and no grant is in it.
+        for name in plan.sources:
+            remote = self.sources[name]
+            if getattr(remote, "rbac", None) is not None:
+                remote.check_access(plan.fragments[name], requester, role,
+                                    subjects, memo=memos[name])
 
         if self.static_analyzer is not None:
             self._static_gate(query, plan, requester, role, subjects,

@@ -67,6 +67,8 @@ class PurposeTree:
 
     def __init__(self, parents=None):
         self._parents = dict(_DEFAULT_PURPOSES if parents is None else parents)
+        # Bumped by every ``add``: compiled source plans key on it.
+        self.version = 0
         for child, parent in self._parents.items():
             if parent is not None and parent not in self._parents:
                 raise PolicyError(
@@ -80,6 +82,7 @@ class PurposeTree:
         if parent is not None and parent not in self._parents:
             raise PolicyError(f"unknown parent purpose {parent!r}")
         self._parents[purpose] = parent
+        self.version += 1
 
     def known(self, purpose):
         """Whether ``purpose`` is in the taxonomy."""

@@ -35,6 +35,17 @@ _KEYWORDS = {
 
 def to_piql(query):
     """Render a :class:`~repro.query.model.PiqlQuery` as PIQL text."""
+    return join_clauses(*piql_clauses(query))
+
+
+def piql_clauses(query):
+    """``(head, conjuncts, tail)``: ``query``'s clauses, rendered.
+
+    ``head`` is the SELECT (and FROM) text, ``conjuncts`` one text per
+    WHERE conjunct in posed order, and ``tail`` the GROUP BY, PURPOSE
+    and MAXLOSS texts.  :func:`join_clauses` joins them, with the
+    conjuncts in any order, into what :func:`to_piql` renders.
+    """
     items = []
     for item in query.select:
         if isinstance(item, PathExpr):
@@ -42,24 +53,32 @@ def to_piql(query):
         else:
             target = "*" if item.path is None else repr(item.path)
             items.append(f"{item.func.upper()}({target}) AS {item.alias}")
-    parts = [f"SELECT {', '.join(items)}"]
+    head = f"SELECT {', '.join(items)}"
     if query.source_hint:
-        parts.append(f"FROM {query.source_hint}")
-    if query.where:
-        rendered = " AND ".join(
-            f"{p.path!r} {p.op} {_render_literal(p.value)}" for p in query.where
-        )
-        parts.append(f"WHERE {rendered}")
+        head = f"{head} FROM {query.source_hint}"
+    conjuncts = [
+        f"{p.path!r} {p.op} {_render_literal(p.value)}" for p in query.where
+    ]
+    tail = []
     if query.group_by:
-        parts.append(f"GROUP BY {', '.join(repr(p) for p in query.group_by)}")
+        tail.append(f"GROUP BY {', '.join(repr(p) for p in query.group_by)}")
     if query.purpose:
-        parts.append(f"PURPOSE {query.purpose}")
+        tail.append(f"PURPOSE {query.purpose}")
     if query.max_loss < 1.0:
-        parts.append(f"MAXLOSS {query.max_loss:g}")
+        tail.append(f"MAXLOSS {query.max_loss:g}")
+    return head, conjuncts, tail
+
+
+def join_clauses(head, conjuncts, tail):
+    """The PIQL text of clauses from :func:`piql_clauses`."""
+    parts = [head]
+    if conjuncts:
+        parts.append(f"WHERE {' AND '.join(conjuncts)}")
+    parts.extend(tail)
     return " ".join(parts)
 
 
-# MAXLOSS renders strictly last (see ``to_piql``'s parts order) and
+# MAXLOSS renders strictly last (see ``piql_clauses``) and
 # string literals render quoted, so a bare trailing number can only be
 # the MAXLOSS value — stripping the suffix is exact, no reparse needed.
 _MAXLOSS_SUFFIX = re.compile(r" MAXLOSS [0-9.eE+-]+$")

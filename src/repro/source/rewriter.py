@@ -96,7 +96,7 @@ class PrivacyRewriter:
             if not isinstance(decision, Decision):
                 raise QueryError(f"decision for {column!r} is not a Decision")
 
-        self._check_rbac(query, requester)
+        self.check_rbac(query, requester)
 
         reasons = []
         column_forms = {}
@@ -179,7 +179,14 @@ class PrivacyRewriter:
         )
         return RewriteResult(rewritten, column_forms, dropped, loss_budget, reasons)
 
-    def _check_rbac(self, query, requester):
+    def check_rbac(self, query, requester):
+        """Raise :class:`AccessDenied` unless ``requester`` may read
+        every column ``query`` uses (aggregate it, for an aggregate).
+
+        :meth:`repro.source.server.RemoteSource.prepare` runs this on
+        every call, so a compiled plan shared across requesters never
+        carries one requester's grants to another.
+        """
         if self.rbac is None or requester is None:
             return
         prefix = self.resource_prefix or query.table

@@ -22,8 +22,9 @@ and :meth:`RemoteSource.answer` runs the plan::
       → XML Transformer + Tagger     (privacy-tagged result document)
 
 The static gate (:mod:`repro.analysis.plancheck`) interprets the same
-plan, so one pose compiles each source's plan once, in the gate or in
-the source, whichever comes first.
+plan, so one pose compiles each source's plan at most once, and with
+the mediation cache on, later poses by any requester reuse it; RBAC,
+the one requester-dependent check, runs on every call.
 
 Every stage runs inside a telemetry span (``source.*``) that nests under
 the mediator's ``mediator.pose`` span when the engine posed the fragment;
@@ -33,6 +34,7 @@ shared registry.  All of it is no-op by default (:mod:`repro.telemetry`).
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 
 from repro.errors import PrivacyViolation, QueryError, ReproError
@@ -60,20 +62,24 @@ _IDENTIFIER_COLUMNS = ("id", "ssn", "name", "first", "last")
 
 @dataclass(frozen=True, slots=True)
 class SourcePlan:
-    """One fragment compiled for one principal: Figure 2(a) up to execution.
+    """One fragment compiled for one role: Figure 2(a) up to execution.
 
-    Nothing here reads MAXLOSS, the data or the source's history, so
-    the static gate, the source and every MAXLOSS variant in a batch
-    share one plan.  This is the source's published view of the
-    fragment in the sense of Benedikt et al.'s view design.
+    Nothing here reads MAXLOSS, the requester, the data or the source's
+    history, so the static gate, the source, every MAXLOSS variant and
+    every requester with the same role and subjects share one plan;
+    RBAC, the one check that reads the requester, runs on every
+    :meth:`RemoteSource.prepare` instead.  This is the source's
+    published view of the fragment in the sense of Benedikt et al.'s
+    view design.
     """
 
-    key: tuple        # MAXLOSS-stripped fragment, principal, policy version
+    key: tuple        # see RemoteSource.prepare
     transform: object  # TransformResult: local query, path → column, SQL
     decisions: dict   # column → Decision, most restrictive per column
     rewrite: object   # RewriteResult
     query: object     # the rewritten query with the consent predicate
     features: object  # QueryFeatures; the budget is stamped per query
+    labels: tuple     # TaintLabels of the static gate, one per path
 
 
 class SourceResponse:
@@ -136,7 +142,11 @@ class RemoteSource:
         self.output_mechanism = output_mechanism
 
         mapping = PathMapping(self.table, matcher=matcher)
+        self._matcher = mapping.matcher
         self.transformer = QueryTransformer(mapping)
+        # The cross-pose SourcePlan tier (see ``prepare``); the engine
+        # injects its MediationCache tier at registration.
+        self.plan_tier = None
         self.rewriter = PrivacyRewriter(
             rbac, resource_prefix=table_name, telemetry=self.telemetry
         )
@@ -198,29 +208,81 @@ class RemoteSource:
                 memo=None):
         """Compile ``piql`` for one principal into a :class:`SourcePlan`.
 
-        Transform → policy decisions → rewrite (with RBAC) → consent
-        fold, plus the MAXLOSS-free feature base.  The static gate
-        interprets the plan and :meth:`answer` executes it.  ``memo`` is
-        the per-pose dict the engine keeps for this source (a batch keeps
-        one across its queries): the plan, or the refusal it raised, is
-        kept there under the MAXLOSS-stripped fragment text (rendered
-        once per fragment, :func:`_fragment_text`), the principal and the
-        policy-store version, so whichever of the gate and the source
-        compiles first serves the other.  A refusal replays as
-        the same exception object; its readers only take its type and
-        message.
+        Transform → policy decisions → rewrite → consent fold, plus the
+        MAXLOSS-free feature base and the taint labels.  The static gate
+        interprets the plan and :meth:`answer` executes it.  Raises
+        :class:`~repro.errors.AccessDenied` as :meth:`check_access`
+        does, then the compile's refusal if it was refused.  A refusal
+        replays as the same exception within one memo.
         """
-        key = (_fragment_text(piql, memo), requester, role, tuple(subjects),
-               self.policy_store.version)
-        if memo is not None:
-            cached = memo.get(key)
-            if isinstance(cached, ReproError):
+        outcome = self.check_access(piql, requester, role, subjects, memo)
+        if isinstance(outcome, ReproError):
+            try:
                 # a fresh traceback, or each replay would extend it
-                raise cached.with_traceback(None)
-            if cached is not None:
-                return cached
+                raise outcome.with_traceback(None)
+            finally:
+                outcome = None  # the traceback holds this frame: no cycle
+        return outcome
+
+    def check_access(self, piql, requester=None, role=None, subjects=(),
+                     memo=None):
+        """RBAC for ``requester`` on the compiled ``piql``.
+
+        Returns the :class:`SourcePlan`, or the compile refusal
+        :meth:`prepare` raises, and raises
+        :class:`~repro.errors.AccessDenied` when RBAC denies the
+        requester.  The compile is keyed on everything it reads except
+        the requester: this source, the MAXLOSS-stripped fragment text
+        (which includes the purpose), the role, the subjects and the
+        versions of the policy store, its purpose tree and the path
+        matcher's synonyms.  ``memo`` is the per-pose dict the engine
+        keeps for this source (a batch keeps one across its queries), so
+        whichever of the engine, the gate and the source compiles first
+        serves the others; behind it, ``plan_tier`` (the engine's
+        cross-pose :class:`~repro.cache.lru.LRUCache`, None without a
+        cache) serves later poses, unless the consent predicate was
+        replaced since.
+
+        RBAC is never cached: every call checks the requester against
+        the transformed query, after the policy evaluation and before
+        any rewrite refusal, where the rewriter itself would.
+        """
+        key = (self.name, _fragment_text(piql, memo), role, tuple(subjects),
+               self.policy_store.version, self.policy_store.purposes.version,
+               self._matcher.synonyms.version, self._matcher.threshold)
+        entry = None if memo is None else memo.get(key)
+        if entry is None:
+            tier = self.plan_tier
+            if tier is None:
+                entry = self._compile(piql, key, role, subjects)
+            else:
+                entry, _ = tier.memoize(
+                    key, lambda: self._compile(piql, key, role, subjects),
+                    lambda cached: cached[1] is self.consent_predicate,
+                )
+                if isinstance(entry[2], ReproError):
+                    # raising sets a traceback: never raise the tier's
+                    entry = entry[:2] + (copy(entry[2]),)
+            if memo is not None:
+                memo[key] = entry
+        checked, _, outcome = entry
+        if checked is not None:
+            self.rewriter.check_rbac(checked, requester)
+        return outcome
+
+    def _compile(self, piql, key, role, subjects):
+        """``(transformed query or None, consent, plan or refusal)``.
+
+        The transformed query is what RBAC checks; it is None when the
+        transform or the policy evaluation refused, which the uncached
+        pipeline also reports ahead of RBAC; ``consent`` is the consent
+        predicate the plan folded in.  A refusal is kept without its
+        traceback, which would hold this frame and the tier above it.
+        """
         telemetry = self.telemetry
         purpose = piql.purpose or "research"
+        consent = self.consent_predicate
+        checked = None
         try:
             with telemetry.span("source.transform"):
                 transform = self.transformer.transform(piql)
@@ -237,24 +299,22 @@ class RemoteSource:
                         combine(decisions[column], decision)
                         if column in decisions else decision
                     )
-            rewrite = self.rewriter.rewrite(
-                transform.query, decisions, requester
-            )
+            checked = transform.query  # RBAC precedes rewrite refusals
+            rewrite = self.rewriter.rewrite(checked, decisions)
         except ReproError as error:
-            if memo is not None:
-                memo[key] = error
-            raise
+            return checked, consent, error.with_traceback(None)
         query = rewrite.query
-        if self.consent_predicate is not None:
-            query = query.replace(
-                where=query.where.and_(self.consent_predicate)
-            )
+        if consent is not None:
+            query = query.replace(where=query.where.and_(consent))
+        from repro.analysis.taint import label_source_query
+
         view = self.policy_store.view_for(self.name)
+        labels = label_source_query(
+            self.name, transform.query, transform.column_of_path, decisions
+        )
         plan = SourcePlan(key, transform, decisions, rewrite, query,
-                          extract_features(piql, view))
-        if memo is not None:
-            memo[key] = plan
-        return plan
+                          extract_features(piql, view), tuple(labels))
+        return checked, consent, plan
 
     def answer(self, piql, requester=None, role=None, subjects=(),
                shared=None):

@@ -123,7 +123,8 @@ class FlakySource:
 
     Ducks as a ``RemoteSource`` for everything the mediation engine
     needs — ``name``, ``policy_store``, ``table``, the ``telemetry``
-    property (the engine reassigns it at registration) — and intercepts
+    and ``plan_tier`` properties (the engine assigns both at
+    registration) — and intercepts
     only :meth:`answer`.  Register it with
     ``engine.register_source(FlakySource(remote, schedule))``.
 
@@ -155,6 +156,15 @@ class FlakySource:
         # repro-lint: disable=REP011 -- harness wiring: the engine sets
         # telemetry on registration, before any fan-out thread exists.
         self._inner.telemetry = value
+
+    @property
+    def plan_tier(self):
+        return self._inner.plan_tier
+
+    @plan_tier.setter
+    def plan_tier(self, value):
+        # repro-lint: disable=REP011 -- harness wiring, as for telemetry.
+        self._inner.plan_tier = value
 
     def __getattr__(self, attribute):
         # policy_store, table, queries_answered, ... — delegate untouched.
@@ -199,7 +209,7 @@ POLICY {name} DEFAULT deny {{
 
 def build_flaky_system(n_sources, schedule_for=None, rows_per_source=8,
                        seed=7, dispatch=None, telemetry=None, cache=True,
-                       noise_epsilon=None):
+                       noise_epsilon=None, rbac=None):
     """A :class:`PrivateIye` whose every source is a :class:`FlakySource`.
 
     ``schedule_for(name, index)`` returns the :class:`FaultSchedule` for
@@ -216,7 +226,8 @@ def build_flaky_system(n_sources, schedule_for=None, rows_per_source=8,
     (``PrivateIye(seed=seed)``), so with ``noise_epsilon`` set every
     source gets a Laplace output mechanism whose noise stream derives
     deterministically from the one seed — two builds with identical
-    arguments answer aggregates with identical noise.
+    arguments answer aggregates with identical noise.  ``rbac`` (an
+    :class:`~repro.access.RbacPolicy`) guards every source.
 
     Returns ``(system, {name: FlakySource})``.
     """
@@ -250,7 +261,7 @@ def build_flaky_system(n_sources, schedule_for=None, rows_per_source=8,
             )
         remote = RemoteSource(
             name, catalog, "patients", system.policy_store.replicate(),
-            pseudonym_secret=system.engine.shared_secret,
+            rbac=rbac, pseudonym_secret=system.engine.shared_secret,
             output_mechanism=mechanism,
         )
         schedule = schedule_for(name, index) if schedule_for else None

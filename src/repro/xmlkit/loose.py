@@ -99,6 +99,8 @@ class SynonymTable:
 
     def __init__(self, entries=None, include_defaults=True):
         self._groups = {}
+        # Bumped by every ``add``: compiled source plans key on it.
+        self.version = 0
         if include_defaults:
             for key, values in _DEFAULT_SYNONYMS.items():
                 self.add(key, *values)
@@ -114,6 +116,7 @@ class SynonymTable:
             merged |= self._groups.get(member, set())
         for member in merged:
             self._groups[member] = merged
+        self.version += 1
 
     def are_synonyms(self, a, b):
         """True when the two (raw) names belong to one synonym group."""

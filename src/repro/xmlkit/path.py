@@ -26,21 +26,28 @@ _OPS = ("!=", "<=", ">=", "=", "<", ">")
 
 
 class Step:
-    """One location step: axis + name test + predicates."""
+    """One location step: axis + name test + predicates.
 
-    __slots__ = ("axis", "name", "predicates", "is_attribute")
+    Steps are never mutated once built, so the rendering is computed on
+    the first ``repr`` and kept.
+    """
+
+    __slots__ = ("axis", "name", "predicates", "is_attribute", "_text")
 
     def __init__(self, axis, name, predicates=(), is_attribute=False):
         self.axis = axis  # "child" or "descendant"
         self.name = name  # tag/attribute name or "*"
         self.predicates = list(predicates)
         self.is_attribute = is_attribute
+        self._text = None
 
     def __repr__(self):
-        sep = "//" if self.axis == "descendant" else "/"
-        at = "@" if self.is_attribute else ""
-        preds = "".join(f"[{p}]" for p in self.predicates)
-        return f"{sep}{at}{self.name}{preds}"
+        if self._text is None:
+            sep = "//" if self.axis == "descendant" else "/"
+            at = "@" if self.is_attribute else ""
+            preds = "".join(f"[{p}]" for p in self.predicates)
+            self._text = f"{sep}{at}{self.name}{preds}"
+        return self._text
 
     def __eq__(self, other):
         return (
@@ -80,9 +87,13 @@ class Predicate:
 
 
 class PathExpr:
-    """A parsed path expression: an ordered list of :class:`Step`."""
+    """A parsed path expression: an ordered list of :class:`Step`.
 
-    __slots__ = ("steps", "source_text")
+    Paths are immutable and shared (parsed queries, views, fragments),
+    so the rendering is computed on the first ``repr`` and kept.
+    """
+
+    __slots__ = ("steps", "source_text", "_text")
 
     def __init__(self, steps, source_text=""):
         if not steps:
@@ -94,6 +105,7 @@ class PathExpr:
                 )
         self.steps = list(steps)
         self.source_text = source_text
+        self._text = None
 
     @property
     def selects_attribute(self):
@@ -105,7 +117,9 @@ class PathExpr:
         return [s.name for s in self.steps]
 
     def __repr__(self):
-        return "".join(repr(s) for s in self.steps)
+        if self._text is None:
+            self._text = "".join(repr(s) for s in self.steps)
+        return self._text
 
     def __eq__(self, other):
         return isinstance(other, PathExpr) and self.steps == other.steps

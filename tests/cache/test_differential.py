@@ -11,6 +11,11 @@ actually hits).  Any divergence is a cache-coherence bug: a stale entry
 served past a policy/schema/audit-state change, or accounting skipped
 on a hit.
 
+One more set of sequences runs on an RBAC deployment: bob may only
+aggregate, and midway through each sequence alice loses her read grant,
+so record-level repeats she was answered before must now be denied on
+both sides — no tier may serve a pose RBAC denies.
+
 Overlap control stays at its default (off) on both sides: it is
 source-side *stateful* auditing keyed on result-set overlap, so an
 answer served from the mediator's cache legitimately does not advance
@@ -21,6 +26,7 @@ import random
 
 import pytest
 
+from repro.access import Permission, RbacPolicy, Role
 from repro.errors import ReproError
 from repro.testing import build_flaky_system
 
@@ -72,12 +78,31 @@ def history_entries(system):
     ]
 
 
-def drive_sequence(seed):
+READ = Permission("read", "patients.*")
+
+
+def rbac_policy():
+    """alice reads and aggregates; bob only aggregates."""
+    rbac = RbacPolicy()
+    rbac.add_role(Role("analyst", [READ]))
+    rbac.add_role(Role("statistician",
+                       [Permission("aggregate", "patients.*")]))
+    rbac.assign("alice", "analyst")
+    rbac.assign("alice", "statistician")
+    rbac.assign("bob", "statistician")
+    return rbac
+
+
+def drive_sequence(seed, rbac=None):
     rng = random.Random(seed)
-    cached, _ = build_flaky_system(N_SOURCES, seed=7, cache=True)
-    uncached, _ = build_flaky_system(N_SOURCES, seed=7, cache=False)
+    cached, _ = build_flaky_system(N_SOURCES, seed=7, cache=True,
+                                   rbac=rbac)
+    uncached, _ = build_flaky_system(N_SOURCES, seed=7, cache=False,
+                                     rbac=rbac)
     posed = []
     for step in range(STEPS_PER_SEQUENCE):
+        if rbac is not None and step == STEPS_PER_SEQUENCE // 2:
+            rbac.role("analyst").permissions.discard(READ)
         if posed and rng.random() < 0.5:
             text, requester = rng.choice(posed)  # bias repeats → hits
         else:
@@ -104,6 +129,14 @@ def test_cached_run_is_byte_identical_to_uncached(chunk):
         drive_sequence(31_000 + chunk * SEQUENCES_PER_CHUNK + offset)
 
 
+@pytest.mark.parametrize("chunk", range(2))
+def test_rbac_deployment_is_byte_identical_to_uncached(chunk):
+    """24 seeded sequences on an RBAC deployment, one grant revoked."""
+    for offset in range(SEQUENCES_PER_CHUNK):
+        drive_sequence(32_000 + chunk * SEQUENCES_PER_CHUNK + offset,
+                       rbac=rbac_policy())
+
+
 def test_the_cached_run_actually_hits():
     """Guard against vacuous equivalence: repeats must be served hot."""
     cached = drive_sequence(31_000)
@@ -111,4 +144,5 @@ def test_the_cached_run_actually_hits():
     answer = cached.engine.warehouse.store_stats()
     assert stats["plan"]["hits"] > 0
     assert stats["static"]["hits"] > 0
+    assert stats["rewrite"]["hits"] > 0   # source plans across poses
     assert answer["hits"] > 0

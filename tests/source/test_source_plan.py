@@ -62,8 +62,13 @@ class TestPrepare:
                                 requester="r1", memo=memo)
         assert second is first
         assert calls["clinic"] == 1
-        # another principal compiles its own plan
-        source.prepare(parse_piql(RECORD), requester="r2", memo=memo)
+        # the requester is not in the key: another one shares the plan
+        third = source.prepare(parse_piql(RECORD), requester="r2", memo=memo)
+        assert third is first
+        assert calls["clinic"] == 1
+        # another role compiles its own plan
+        source.prepare(parse_piql(RECORD), requester="r1", role="auditor",
+                       memo=memo)
         assert calls["clinic"] == 2
 
     def test_memo_pins_the_policy_version(self):
