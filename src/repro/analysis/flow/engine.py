@@ -838,10 +838,13 @@ class _Interpreter:
             if dotted is not None:
                 names.append(dotted)
             speculative = []
-            if len(receiver_types) == 0:
+            if len(receiver_types) == 0 and (
+                    dotted is None or self.program.in_tree(dotted)):
                 # unresolved receiver: propagate taint through the
                 # program-wide method index only when the bare name is
-                # unambiguous — one definition program-wide
+                # unambiguous — one definition program-wide.  A call on
+                # an imported out-of-tree module (``copy.copy``) is
+                # resolved by its import and gets no in-tree guess.
                 candidates = self.program.methods_by_name.get(func.attr, [])
                 if len(candidates) == 1:
                     speculative.append(candidates[0].qname)

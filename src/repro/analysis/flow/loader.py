@@ -114,6 +114,12 @@ class Program:
         #: ("repro.telemetry.events.NOOP_EVENTS" → "....NoopEventLog")
         self.global_instances = {}
 
+    def in_tree(self, dotted):
+        """Whether ``dotted`` is an analyzed module or lies inside one."""
+        parts = dotted.split(".")
+        return any(".".join(parts[:end]) in self.modules
+                   for end in range(1, len(parts) + 1))
+
     def class_named(self, bare_name):
         """All classes named ``bare_name`` across the program."""
         return self.classes_by_name.get(bare_name, [])

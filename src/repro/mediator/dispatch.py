@@ -1,4 +1,4 @@
-"""Concurrent fault-tolerant source fan-out for the mediation engine.
+"""Fault-tolerant source fan-out for the mediation engine.
 
 The seed engine answered every query by calling each remote source in a
 blocking loop, so end-to-end latency was the *sum* of per-source
@@ -7,12 +7,19 @@ gives the engine a dispatch layer that treats sources the way the
 composition literature treats them — autonomous participants that fail
 independently:
 
-* **Concurrency** — per-source ``answer`` calls run on a
-  ``ThreadPoolExecutor``; wall-clock becomes the *max* of per-source
-  latencies instead of the sum.
-* **Deadlines** — each attempt gets ``timeout_s``; a source that hangs
-  past its deadline is abandoned (the coordinator stops waiting; the
-  worker thread drains on its own) and the attempt counts as a fault.
+* **Per-source executors** — one state machine (``_run_loop``) drives
+  every source's attempts.  An attempt of a source that can block
+  (sleep, I/O, a remote call) runs on a per-dispatch
+  ``ThreadPoolExecutor``; an attempt of a source that cannot (an
+  in-process table, which holds the interpreter lock while it answers)
+  runs in-line on the calling thread.  Which sources can block is a
+  property of their class (:func:`can_block`); wall-clock is the *max*
+  over the threaded sources, and a dispatch with none starts no thread.
+* **Deadlines** — each threaded attempt gets ``timeout_s``; a source
+  that hangs past its deadline is abandoned (the coordinator stops
+  waiting; the worker thread drains on its own) and the attempt counts
+  as a fault, judged by when it finished on its worker.  In-line
+  attempts are never preempted.
 * **Retries** — :class:`~repro.errors.TransientSourceError` and deadline
   expiries are retried with bounded exponential backoff.  A
   :class:`~repro.errors.PrivacyViolation` or :class:`~repro.errors.PathError`
@@ -27,20 +34,18 @@ independently:
   refusals keep their existing semantics under every policy: a refusing
   source never blocks integration of the others.
 
+Retries, backoff, breakers and settlement are the same code for both
+executors, so a source settles alike in-line or threaded (the executor
+differential in ``tests/mediator/test_fanout_properties.py`` pins it).
+``mode="sequential"`` runs every source in-line: it is the benchmark
+baseline and the reference of the fault tests.
+
 Everything is observable: each dispatch returns per-source
 :class:`SourceOutcome` records (attempts, retries, wall-clock, fault
 kinds, breaker state) that the engine folds into the explain ledger and
-the metrics registry, and per-attempt spans parent under the engine's
-``mediator.fanout`` span even though they run on worker threads.
-
-``mode="sequential"`` — and ``dispatch(..., inline=True)`` when no
-deadline is configured — runs a second, in-line state machine
-(:meth:`FanoutDispatcher._dispatch_sequential`): it shares the breaker,
-retry and settle helpers with the concurrent machine (``_run_loop``) but
-drives them from the calling thread, one source after another, with no
-pool and no deadline preemption.  It is the benchmark baseline, the batch
-pipeline's cheap path, and the behavioural reference the zero-fault
-equivalence property tests pin the concurrent machine against.
+the metrics registry, and every attempt opens a
+``mediator.fanout.attempt`` span under the engine's ``mediator.fanout``
+span, in-line or on a worker thread.
 """
 
 from __future__ import annotations
@@ -69,6 +74,16 @@ FAULT_DEADLINE = "DeadlineExceeded"
 FAULT_BREAKER = "CircuitOpen"
 
 
+def can_block(source):
+    """Whether ``source``'s ``answer`` can block (sleep, I/O, a remote call).
+
+    A source class says so with a ``can_block`` attribute; one that does
+    not say (a duck-typed double) counts as blocking, so the dispatcher
+    isolates it on a thread.
+    """
+    return getattr(source, "can_block", True)
+
+
 class DispatchPolicy:
     """Configuration for one :class:`FanoutDispatcher`.
 
@@ -76,6 +91,14 @@ class DispatchPolicy:
     (use the :meth:`quorum` helper).  ``timeout_s=None`` disables
     per-attempt deadlines; ``retries`` bounds *re*-attempts per source
     (``retries=2`` allows three attempts total).
+
+    ``mode="concurrent"`` runs the attempts of sources that can block on
+    threads and the others in-line; ``mode="sequential"`` runs every
+    attempt in-line.  A deadline preempts threaded attempts only: an
+    in-line attempt runs to completion on the calling thread, however
+    long it takes.  A threaded attempt that finishes past its deadline
+    counts as expired even when the calling thread was busy in-line
+    when it finished.
     """
 
     __slots__ = ("mode", "max_workers", "timeout_s", "retries",
@@ -205,10 +228,6 @@ class CircuitBreaker:
                 return "probe"
             return None
 
-    def allow(self):
-        """Boolean form of :meth:`acquire` (consumes the probe slot)."""
-        return self.acquire() is not None
-
     def record_success(self):
         with self._lock:
             self._state = self.CLOSED
@@ -248,12 +267,11 @@ class SourceOutcome:
         self.refusal = None       # Refusal (policy refusal OR unavailability)
 
     def to_dict(self):
+        """The explain ledger's per-source dispatch record."""
         return {
-            "source": self.source,
-            "status": self.status,
+            "wall_ms": self.wall_ms,
             "attempts": self.attempts,
             "retries": self.retries,
-            "wall_ms": self.wall_ms,
             "faults": list(self.faults),
             "breaker_state": self.breaker_state,
         }
@@ -295,16 +313,18 @@ class DispatchResult:
 class _SourceTask:
     """Coordinator-side state machine for one source."""
 
-    __slots__ = ("name", "outcome", "future", "attempt_started",
-                 "next_eligible", "started", "probe")
+    __slots__ = ("name", "breaker", "threaded", "outcome", "future",
+                 "attempt_started", "next_eligible", "started", "probe")
 
-    def __init__(self, name, now):
+    def __init__(self, name, breaker, now):
         self.name = name
+        self.breaker = breaker
+        self.threaded = False         # attempts run on the dispatch's pool
         self.outcome = SourceOutcome(name)
-        self.future = None            # in-flight attempt (concurrent mode)
+        self.future = None            # in-flight threaded attempt
         self.attempt_started = None
         self.next_eligible = now      # earliest clock time of next attempt
-        self.started = now
+        self.started = None           # first launch; wall_ms counts from it
         self.probe = False            # current attempt is a half-open probe
 
 
@@ -343,11 +363,6 @@ class FanoutDispatcher:
                 )
             return breaker
 
-    def breaker_states(self):
-        """``{source: state}`` for every breaker seen so far."""
-        with self._breakers_lock:
-            return {name: b.state for name, b in sorted(self._breakers.items())}
-
     def _note_breaker_state(self, source, state):
         """Emit a ``dispatch.breaker_transition`` event on state change.
 
@@ -369,7 +384,7 @@ class FanoutDispatcher:
 
     # -- dispatch ----------------------------------------------------------
 
-    def dispatch(self, source_names, call, enforce=True, inline=False):
+    def dispatch(self, source_names, call, enforce=True, blocking=None):
         """Run ``call(name)`` for every source under the policy.
 
         With ``enforce=False`` the partial-results policy is *not*
@@ -377,41 +392,44 @@ class FanoutDispatcher:
         an explain ledger) and then calls :meth:`enforce_partial` itself,
         so a failed quorum still leaves a fully-populated ledger.
 
-        ``inline=True`` asks to run the in-line state machine in the
-        calling thread even under a concurrent policy.  Honored only
-        when ``timeout_s`` is ``None`` — without deadline preemption
-        the two machines settle every (source, attempt) identically
-        (same breaker transitions, retries, and refusals, in the same
-        deterministic source order), so in-lining is purely a latency
-        optimization: the batch pipeline uses it to skip the per-pose
-        thread-pool spin-up.  With a deadline configured the flag is
-        ignored — the in-line machine cannot preempt a hung source.
+        ``blocking`` holds the names whose ``call`` can block; their
+        attempts run on threads, the others' in-line.  ``None`` (plain
+        names, nothing known about them) means every name can block.
+        Under ``mode="sequential"`` every attempt runs in-line.
         """
-        names = list(source_names)
         started = self._clock()
-        if self.policy.mode == "sequential" or (
-                inline and self.policy.timeout_s is None):
-            outcomes = self._dispatch_sequential(names, call)
+        tasks = [_SourceTask(name, self.breaker(name), started)
+                 for name in source_names]
+        threaded = []
+        if self.policy.mode == "concurrent":
+            for task in tasks:
+                if blocking is None or task.name in blocking:
+                    task.threaded = True
+                    threaded.append(task)
+        if threaded:
+            # the pool starts on the threaded attempts before the in-line
+            # ones take the calling thread
+            self._run_pooled(
+                threaded + [task for task in tasks if not task.threaded],
+                call, len(threaded),
+            )
         else:
-            outcomes = self._dispatch_concurrent(names, call)
+            self._run_loop(tasks, call)
         wall_ms = (self._clock() - started) * 1000.0
 
-        responses, refused, unavailable = {}, {}, {}
-        for name in names:
-            outcome = outcomes[name]
-            outcome.breaker_state = self.breaker(name).state
-            self._note_breaker_state(name, outcome.breaker_state)
+        responses, refused, unavailable, outcomes = {}, {}, {}, {}
+        for task in tasks:
+            outcome = outcomes[task.name] = task.outcome
+            outcome.breaker_state = task.breaker.state
+            self._note_breaker_state(task.name, outcome.breaker_state)
             if outcome.status == "answered":
-                responses[name] = outcome.response
+                responses[task.name] = outcome.response
             elif outcome.status == "refused":
-                refused[name] = outcome.refusal
+                refused[task.name] = outcome.refusal
             else:
-                unavailable[name] = outcome.refusal
-        result = DispatchResult(
-            responses, refused, unavailable,
-            {name: outcomes[name] for name in names}, wall_ms,
-            self.policy.mode,
-        )
+                unavailable[task.name] = outcome.refusal
+        result = DispatchResult(responses, refused, unavailable, outcomes,
+                                wall_ms, self.policy.mode)
         if enforce:
             self.enforce_partial(result)
         return result
@@ -438,43 +456,9 @@ class FanoutDispatcher:
                     + (f" ({detail})" if detail else "")
                 )
 
-    # -- sequential mode ---------------------------------------------------
+    # -- the state machine -------------------------------------------------
 
-    def _dispatch_sequential(self, names, call):
-        """In-line reference implementation (no deadline preemption)."""
-        outcomes = {}
-        for name in names:
-            task = _SourceTask(name, self._clock())
-            outcome = task.outcome
-            breaker = self.breaker(name)
-            while outcome.status == "pending":
-                admitted = breaker.acquire()
-                if admitted is None:
-                    self._settle_breaker_open(outcome)
-                    break
-                task.probe = admitted == "probe"
-                outcome.attempts += 1
-                try:
-                    response = call(name)
-                except REFUSAL_ERRORS as error:
-                    self._settle_refused(outcome, error)
-                except TransientSourceError as error:
-                    breaker.record_failure()
-                    outcome.faults.append(FAULT_TRANSIENT)
-                    if not self._schedule_retry(task, breaker, str(error)):
-                        break
-                    time.sleep(max(0.0, task.next_eligible - self._clock()))
-                else:
-                    breaker.record_success()
-                    self._settle_answered(outcome, response)
-            outcome.wall_ms = (self._clock() - task.started) * 1000.0
-            outcomes[name] = outcome
-        return outcomes
-
-    # -- concurrent mode ---------------------------------------------------
-
-    def _dispatch_concurrent(self, names, call):
-        tasks = {name: _SourceTask(name, self._clock()) for name in names}
+    def _run_pooled(self, tasks, call, n_threaded):
         # Capture the full trace context (trace id + parent span), not
         # just the parent: restoring it on the worker makes the attempt
         # span carry the pose's trace id across the pool boundary.
@@ -483,198 +467,190 @@ class FanoutDispatcher:
         # blew its deadline keeps occupying a worker until it drains, and
         # its replacement must not queue behind it.
         workers = self.policy.max_workers or min(
-            64, max(1, len(names)) * (self.policy.retries + 1)
+            64, n_threaded * (self.policy.retries + 1)
         )
         pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-fanout",
         )
         try:
-            self._run_loop(tasks, call, context, pool)
+            self._run_loop(tasks, call, pool, context)
         finally:
             # Abandoned (hung) attempts drain on their own threads; do
             # not block the pose() on them.
             pool.shutdown(wait=False, cancel_futures=True)
-        return {name: task.outcome for name, task in tasks.items()}
 
-    def _finalize(self, task):
-        """Stamp the source's wall-clock the moment it settles."""
-        task.outcome.wall_ms = (self._clock() - task.started) * 1000.0
+    def _run_loop(self, tasks, call, pool=None, context=None):
+        """Drive every task to settlement, threaded and in-line alike.
 
-    def _run_loop(self, tasks, call, context, pool):
+        Each pass launches every due attempt in ``tasks`` order: a
+        threaded one is submitted to ``pool``, an in-line one runs and
+        settles on the spot.  Then the loop sleeps off backoffs or waits
+        for the pool.  With nothing on the pool it allocates no future
+        and never polls.
+        """
         timeout_s = self.policy.timeout_s
-        pending = dict(tasks)  # sources not yet settled
-        while pending:
-            now = self._clock()
-            for task in list(pending.values()):
+        pending = tasks
+        now = self._clock()
+        while True:
+            for task in pending:
                 if task.future is None and task.next_eligible <= now:
-                    self._launch_attempt(task, call, context, pool)
-                    if task.outcome.status != "pending":
-                        self._finalize(task)    # breaker failed it fast
-                        del pending[task.name]
-
-            in_flight = {t.future: t for t in pending.values()
-                         if t.future is not None}
+                    self._launch_attempt(task, call, pool, context)
+            pending = [t for t in pending if t.outcome.status == "pending"]
+            if not pending:
+                return
+            in_flight = {t.future: t for t in pending if t.future is not None}
             if not in_flight:
-                if not pending:
-                    break
                 # every remaining task is sleeping off a backoff
-                wake = min(t.next_eligible for t in pending.values())
-                self._sleep_until(wake)
+                wake = min(t.next_eligible for t in pending)
+                time.sleep(max(0.0, wake - self._clock()))
+                now = max(self._clock(), wake)
                 continue
-
-            wait_s = self._next_wait(pending, in_flight, timeout_s)
-            done, _ = wait(in_flight, timeout=wait_s,
+            done, _ = wait(in_flight,
+                           timeout=self._next_wait(pending, in_flight),
                            return_when=FIRST_COMPLETED)
             now = self._clock()
-            for future in done:
-                task = in_flight[future]
-                self._absorb_result(task, future)
-                if task.outcome.status != "pending":
-                    self._finalize(task)
-                    del pending[task.name]
-            if timeout_s is not None:
-                for future, task in in_flight.items():
-                    if future in done or task.future is not future:
-                        continue
-                    if now - task.attempt_started >= timeout_s:
+            for future, task in in_flight.items():
+                if future in done:
+                    finished, error, response = future.result()
+                    task.future = None
+                    if (timeout_s is not None
+                            and finished - task.attempt_started >= timeout_s):
+                        # it finished late while in-line attempts held
+                        # the calling thread
                         self._expire_attempt(task)
-                        if task.outcome.status != "pending":
-                            self._finalize(task)
-                            del pending[task.name]
+                    else:
+                        self._absorb(task, _replay, error, response)
+                elif (timeout_s is not None
+                        and now - task.attempt_started >= timeout_s):
+                    self._expire_attempt(task)
+            pending = [t for t in pending if t.outcome.status == "pending"]
 
-    def _launch_attempt(self, task, call, context, pool):
-        breaker = self.breaker(task.name)
-        admitted = breaker.acquire()
+    def _launch_attempt(self, task, call, pool, context):
+        now = self._clock()
+        if task.started is None:
+            task.started = now
+        admitted = task.breaker.acquire()
         if admitted is None:
-            self._settle_breaker_open(task.outcome)
+            self._settle_breaker_open(task)
             return
         task.probe = admitted == "probe"
         task.outcome.attempts += 1
-        attempt = task.outcome.attempts
-        task.attempt_started = self._clock()
-        task.future = pool.submit(
-            self._run_attempt, call, task.name, attempt, context
-        )
+        if task.threaded:
+            task.attempt_started = now
+            task.future = pool.submit(
+                self._attempt_on_worker, context, call, task.name,
+                task.outcome.attempts,
+            )
+        else:
+            self._absorb(task, self._attempt, call, task.name,
+                         task.outcome.attempts)
 
-    def _run_attempt(self, call, name, attempt, context):
+    def _attempt(self, call, name, attempt):
+        """One attempt, under its ``mediator.fanout.attempt`` span."""
+        if not self.telemetry.enabled:
+            return call(name)   # telemetry off: skip building a no-op span
+        with self.telemetry.tracer.span(
+            "mediator.fanout.attempt", source=name, attempt=attempt,
+        ):
+            return call(name)
+
+    def _attempt_on_worker(self, context, call, name, attempt):
         """Worker-thread body: one attempt under the restored context.
 
         Activating the captured :class:`TraceContext` makes the attempt
         span both a child of the dispatching pose's span *and* a member
         of its trace — the id a later WAL append and the profiler's
-        stage attribution agree on.
+        stage attribution agree on.  Returns ``(finished, error,
+        response)``: the coordinator checks the deadline against the
+        time the attempt finished, not the time it looked.
         """
-        tracer = self.telemetry.tracer
-        with context.activate(tracer):
-            with tracer.span(
-                "mediator.fanout.attempt", source=name, attempt=attempt,
-            ):
-                return call(name)
+        with context.activate(self.telemetry.tracer):
+            try:
+                response = self._attempt(call, name, attempt)
+            except Exception as error:
+                return self._clock(), error, None
+            return self._clock(), None, response
 
-    def _absorb_result(self, task, future):
-        """Fold a completed attempt future into the task's outcome."""
-        if task.future is not future:
-            return  # an abandoned (timed-out) attempt drained late
-        task.future = None
-        outcome = task.outcome
-        breaker = self.breaker(task.name)
+    def _absorb(self, task, attempt, *args):
+        """Settle or retry ``task`` on ``attempt(*args)``'s answer or error."""
+        breaker = task.breaker
         try:
-            response = future.result()
+            response = attempt(*args)
         except REFUSAL_ERRORS as error:
-            self._settle_refused(outcome, error)
+            self._settle(task, "refused", Refusal.from_exception(error))
         except TransientSourceError as error:
             breaker.record_failure()
-            outcome.faults.append(FAULT_TRANSIENT)
-            self._schedule_retry(task, breaker, str(error))
+            task.outcome.faults.append(FAULT_TRANSIENT)
+            self._schedule_retry(task, str(error))
         else:
             breaker.record_success()
-            self._settle_answered(outcome, response)
+            self._settle(task, "answered", response=response)
 
     def _expire_attempt(self, task):
         """An in-flight attempt blew its deadline: abandon and retry."""
-        breaker = self.breaker(task.name)
-        breaker.record_failure()
+        task.breaker.record_failure()
         task.future = None  # abandon; late result is ignored
         task.outcome.faults.append(FAULT_DEADLINE)
         self._schedule_retry(
-            task, breaker,
-            f"deadline of {self.policy.timeout_s}s exceeded",
+            task, f"deadline of {self.policy.timeout_s}s exceeded",
         )
 
-    def _schedule_retry(self, task, breaker, reason):
-        """Queue the next attempt, or settle as unavailable. True if queued."""
+    def _schedule_retry(self, task, reason):
+        """Queue the next attempt, or settle as unavailable."""
         outcome = task.outcome
         exhausted = outcome.retries >= self.policy.retries
-        if task.probe or exhausted or not self._breaker_admits(breaker):
+        # Peek without consuming the half-open probe slot: retrying into
+        # an open breaker is pointless, settle now instead of at the next
+        # launch.
+        if (task.probe or exhausted
+                or task.breaker.state == CircuitBreaker.OPEN):
             kind = outcome.faults[-1] if outcome.faults else FAULT_TRANSIENT
-            self._settle_unavailable(
-                outcome, kind,
+            self._settle(task, "unavailable", Refusal(
+                kind,
                 f"{task.name}: {reason} "
                 f"(attempt {outcome.attempts}/{self.policy.retries + 1})",
-            )
-            return False
+            ))
+            return
         outcome.retries += 1
         task.next_eligible = self._clock() + self.policy.backoff_s(
             outcome.retries
         )
-        return True
 
-    @staticmethod
-    def _breaker_admits(breaker):
-        # Peek without consuming the half-open probe slot: retrying into
-        # an open breaker is pointless, settle now instead of at the next
-        # launch.
-        return breaker.state != CircuitBreaker.OPEN
-
-    def _next_wait(self, pending, in_flight, timeout_s):
-        """Seconds until the next deadline or backoff wake-up."""
-        now = self._clock()
-        horizon = []
+    def _next_wait(self, pending, in_flight):
+        """Seconds until the next deadline or backoff wake-up, or None."""
+        horizon = [t.next_eligible for t in pending if t.future is None]
+        timeout_s = self.policy.timeout_s
         if timeout_s is not None:
-            horizon.extend(
-                task.attempt_started + timeout_s
-                for task in in_flight.values()
-            )
-        horizon.extend(
-            task.next_eligible for task in pending.values()
-            if task.future is None
-        )
-        if not horizon:
-            return None
-        return max(0.0, min(horizon) - now)
-
-    def _sleep_until(self, wake):
-        delay = wake - self._clock()
-        if delay > 0:
-            time.sleep(delay)
+            horizon += [t.attempt_started + timeout_s for t in in_flight.values()]
+        return max(0.0, min(horizon) - self._clock()) if horizon else None
 
     # -- settling ----------------------------------------------------------
 
-    @staticmethod
-    def _settle_answered(outcome, response):
-        outcome.status = "answered"
+    def _settle(self, task, status, refusal=None, response=None):
+        """Close ``task``'s outcome and stamp its wall-clock."""
+        outcome = task.outcome
+        outcome.status = status
+        outcome.refusal = refusal
         outcome.response = response
+        outcome.wall_ms = (self._clock() - task.started) * 1000.0
 
-    @staticmethod
-    def _settle_refused(outcome, error):
-        outcome.status = "refused"
-        outcome.refusal = Refusal.from_exception(error)
-
-    @staticmethod
-    def _settle_unavailable(outcome, kind, reason):
-        outcome.status = "unavailable"
-        outcome.refusal = Refusal(kind, reason)
-
-    def _settle_breaker_open(self, outcome):
-        outcome.attempts += 1
-        outcome.faults.append(FAULT_BREAKER)
-        self._settle_unavailable(
-            outcome, FAULT_BREAKER,
-            f"{outcome.source}: circuit breaker open (failing fast)",
-        )
+    def _settle_breaker_open(self, task):
+        task.outcome.attempts += 1
+        task.outcome.faults.append(FAULT_BREAKER)
+        self._settle(task, "unavailable", Refusal(
+            FAULT_BREAKER,
+            f"{task.name}: circuit breaker open (failing fast)",
+        ))
 
     def __repr__(self):
         return f"FanoutDispatcher({self.policy!r})"
+
+
+def _replay(error, response):
+    """Re-raise a worker attempt's ``error``, or return its ``response``."""
+    if error is not None:
+        raise error
+    return response
 
 
 def resolve_dispatch(dispatch):

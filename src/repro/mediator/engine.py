@@ -1,6 +1,6 @@
 """The MediationEngine facade — Figure 2(b) end to end.
 
-Wires mediated-schema generation, fragmentation, concurrent per-source
+Wires mediated-schema generation, fragmentation, fault-tolerant per-source
 answering (:mod:`repro.mediator.dispatch` — deadlines, retries, circuit
 breakers, partial-results policies), result integration, privacy
 control, history/sequence guarding, and the hybrid warehouse into one
@@ -44,7 +44,7 @@ from repro.errors import (
 )
 from repro.mediator.batch import BatchContext, PoseOutcome, release_memos
 from repro.mediator.control import PrivacyControl
-from repro.mediator.dispatch import FAULT_DEADLINE, FAULT_TRANSIENT, resolve_dispatch
+from repro.mediator.dispatch import FAULT_DEADLINE, FAULT_TRANSIENT, can_block, resolve_dispatch
 from repro.mediator.fragmenter import QueryFragmenter
 from repro.mediator.history import MediatorHistory, SequenceGuard
 from repro.mediator.integrator import IntegratedResult, ResultIntegrator
@@ -308,10 +308,9 @@ class MediationEngine:
         strict per-query loop in input order, so guards that read the
         history observe exactly the prefix a looped caller would have
         written.  What the batch *shares* is pure recomputation:
-        MAXLOSS-independent analyzer and source-pipeline stages,
-        integration of identical response sets, and the dispatch
-        thread-pool spin-up (in-lined when no deadline is configured).
-        See :mod:`repro.mediator.batch` and ``docs/performance.md``.
+        MAXLOSS-independent analyzer and source-pipeline stages and
+        integration of identical response sets.  See
+        :mod:`repro.mediator.batch` and ``docs/performance.md``.
         """
         return list(self.pose_stream(
             queries, requester=requester, role=role, subjects=subjects,
@@ -630,9 +629,11 @@ class MediationEngine:
             "mediator.fanout",
             mode=dispatcher.policy.describe(), n_sources=len(plan.sources),
         ) as span:
-            outcome_set = dispatcher.dispatch(plan.sources, call,
-                                              enforce=False,
-                                              inline=batch is not None)
+            outcome_set = dispatcher.dispatch(
+                plan.sources, call, enforce=False,
+                blocking=[name for name in plan.sources
+                          if can_block(self.sources[name])],
+            )
             span.set(answered=len(outcome_set.responses),
                      retries=outcome_set.total_retries,
                      wall_ms=outcome_set.wall_ms)
@@ -724,13 +725,7 @@ class MediationEngine:
         """Fold fan-out outcomes into the explain ledger and metrics."""
         metrics = telemetry.metrics
         for name, outcome in outcome_set.outcomes.items():
-            stats = {
-                "wall_ms": outcome.wall_ms,
-                "attempts": outcome.attempts,
-                "retries": outcome.retries,
-                "faults": list(outcome.faults),
-                "breaker_state": outcome.breaker_state,
-            }
+            stats = outcome.to_dict()
             if outcome.status == "answered":
                 report.source_answered(name, outcome.response, dispatch=stats)
             elif outcome.status == "refused":

@@ -105,6 +105,10 @@ class SourceResponse:
 class RemoteSource:
     """A privacy-preserving remote source."""
 
+    #: An in-process table answers while holding the interpreter lock:
+    #: it cannot block, so the dispatcher runs it in-line.
+    can_block = False
+
     def __init__(
         self,
         name,

@@ -37,6 +37,7 @@ import threading
 import time
 
 from repro.errors import PrivacyViolation, ReproError, TransientSourceError
+from repro.mediator.dispatch import can_block
 
 OK = ("ok",)
 
@@ -60,6 +61,9 @@ class FaultSchedule:
                 raise ReproError(f"unknown fault event {event!r}")
             checked.append(event)
         self._events = checked
+        #: whether a call may sleep (a ``delay`` or ``hang`` event); the
+        #: script is fixed once built, so this is too
+        self.can_block = any(e[0] in ("delay", "hang") for e in checked)
         self._cursor = 0
         self._lock = threading.Lock()
         self.consumed = []  # every event handed out, in call order
@@ -127,6 +131,8 @@ class FlakySource:
     registration) — and intercepts
     only :meth:`answer`.  Register it with
     ``engine.register_source(FlakySource(remote, schedule))``.
+    ``can_block`` is its own: true when the schedule holds a ``delay``
+    or ``hang``, so the dispatcher runs only those wrappers on threads.
 
     ``calls`` counts every intercepted ``answer()``; ``faults_injected``
     counts the non-``ok`` events actually replayed.  Both are visible
@@ -165,6 +171,12 @@ class FlakySource:
     def plan_tier(self, value):
         # repro-lint: disable=REP011 -- harness wiring, as for telemetry.
         self._inner.plan_tier = value
+
+    @property
+    def can_block(self):
+        # Defined here, not delegated: the inner source cannot block, but
+        # the schedule's delays and hangs sleep in front of it.
+        return self.schedule.can_block or can_block(self._inner)
 
     def __getattr__(self, attribute):
         # policy_store, table, queries_answered, ... — delegate untouched.

@@ -25,7 +25,7 @@ from repro.mediator.dispatch import (
     DispatchPolicy,
     FanoutDispatcher,
 )
-from repro.testing import FaultSchedule, build_flaky_system
+from repro.testing import FaultSchedule, FlakySource, build_flaky_system
 
 QUERY = "SELECT //patient/age PURPOSE research"
 
@@ -467,3 +467,165 @@ class TestWorkerThreads:
         finally:
             release.set()
         assert _join_all(list(workers)) == []
+
+
+POLICIES = """
+POLICY clinic DEFAULT deny { ALLOW //patient/age FOR research; }
+POLICY lab DEFAULT deny { ALLOW //patient/age FOR research; }
+POLICY hmo2 DEFAULT deny { ALLOW //patient/age FOR research; }
+POLICY hmo3 DEFAULT deny { ALLOW //patient/age FOR research; }
+"""
+
+
+def table_source_system(names, dispatch=None):
+    """A telemetry-on system with one in-process table source per name."""
+    from repro import PrivateIye
+    from repro.relational import Table
+
+    system = PrivateIye(telemetry=True, dispatch=dispatch)
+    system.load_policies(POLICIES)
+    for offset, name in enumerate(names):
+        rows = [{"age": 20 + offset + i} for i in range(4)]
+        system.add_relational_source(name, Table.from_dicts("patients", rows))
+    return system
+
+
+class TestPerSourceExecutors:
+    """Only sources that can block are isolated on a thread."""
+
+    def test_table_sources_start_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        system = table_source_system(["clinic", "lab", "hmo2", "hmo3"])
+        result = system.query(QUERY, requester="epi")
+        assert len(result.per_source_loss) == 4
+        assert not [name for name in started
+                    if name.startswith("repro-fanout")]
+        # the in-line attempts are traced exactly like threaded ones
+        root = system.last_trace()
+        assert root.name == "mediator.pose"
+        attempts = [span for span in root.walk()
+                    if span.name == "mediator.fanout.attempt"]
+        assert sorted(span.attributes["source"] for span in attempts) == [
+            "clinic", "hmo2", "hmo3", "lab"]
+        assert {span.trace_id for span in attempts} == {root.trace_id}
+
+    def test_mixed_dispatch_preempts_only_the_hang(self):
+        from repro.source.server import RemoteSource
+
+        system = table_source_system(
+            ["clinic"],
+            dispatch=DispatchPolicy(timeout_s=0.05, retries=0,
+                                    partial="best_effort"),
+        )
+        clinic = system.source("clinic")
+        inner = RemoteSource(
+            "lab", clinic.catalog, "patients",
+            system.policy_store.replicate(),
+        )
+        release = threading.Event()
+        lab = FlakySource(inner, FaultSchedule([("hang", 5.0)]),
+                          sleep=release.wait)
+        system.engine.register_source(lab)
+        answered_on = []
+        answer = clinic.answer
+
+        def recording_answer(*args, **kwargs):
+            answered_on.append(threading.current_thread())
+            return answer(*args, **kwargs)
+
+        clinic.answer = recording_answer
+        try:
+            started = time.monotonic()
+            result = system.query(QUERY, requester="epi")
+            elapsed = time.monotonic() - started
+        finally:
+            release.set()
+        assert elapsed < 2.0
+        assert answered_on == [threading.current_thread()]
+        assert sorted(result.per_source_loss) == ["clinic"]
+        assert result.refused_sources["lab"].kind == FAULT_DEADLINE
+        report = system.explain_last()
+        # the hang was submitted first, yet outcomes keep plan order
+        assert list(report.sources) == ["clinic", "lab"]
+        assert report.sources["clinic"]["faults"] == []
+        assert report.sources["lab"]["faults"] == [FAULT_DEADLINE]
+
+    def test_threaded_attempt_finishing_late_during_inline_work_expires(
+            self):
+        # "late" finishes on its worker past the deadline while the
+        # calling thread is still busy with the in-line "slow"; "quick"
+        # finishes in time.  The deadline is judged by when each attempt
+        # finished, not by when the coordinator got back to the pool.
+        delays = {"late": 0.3, "quick": 0.0, "slow": 0.6}
+
+        def call(name):
+            time.sleep(delays[name])
+            return name
+
+        dispatcher = FanoutDispatcher(DispatchPolicy(
+            timeout_s=0.15, retries=0, breaker_threshold=1,
+            partial="best_effort"))
+        result = dispatcher.dispatch(["late", "quick", "slow"], call,
+                                     blocking={"late", "quick"})
+        assert sorted(result.responses) == ["quick", "slow"]
+        assert result.unavailable["late"].kind == FAULT_DEADLINE
+        assert result.outcomes["late"].faults == [FAULT_DEADLINE]
+        # the expired attempt counts against the breaker, not for it
+        assert dispatcher.breaker("late").state == CircuitBreaker.OPEN
+        assert dispatcher.breaker("quick").state == CircuitBreaker.CLOSED
+
+    def test_outcomes_keep_plan_order_on_the_dispatcher(self):
+        workers = []
+
+        def call(name):
+            workers.append((name, threading.current_thread()))
+            return name
+
+        dispatcher = FanoutDispatcher(DispatchPolicy())
+        result = dispatcher.dispatch(["a", "b", "c"], call, blocking={"b"})
+        assert list(result.outcomes) == ["a", "b", "c"]
+        assert list(result.responses) == ["a", "b", "c"]
+        ran = dict(workers)
+        assert ran["a"] is threading.current_thread()
+        assert ran["c"] is threading.current_thread()
+        assert ran["b"].name.startswith("repro-fanout")
+
+    @pytest.mark.parametrize("events, blocks", [
+        ([], False),
+        ([("transient",), ("ok",)], False),
+        ([("refuse",), ("transient",)], False),
+        ([("transient",), ("delay", 0.0)], True),
+        ([("hang", 1.0)], True),
+    ])
+    def test_flaky_source_blocks_only_with_delays_or_hangs(self, events,
+                                                           blocks):
+        from repro.mediator.dispatch import can_block
+
+        system = table_source_system(["clinic"])
+        flaky = FlakySource(system.source("clinic"), FaultSchedule(events))
+        assert system.source("clinic").can_block is False
+        assert flaky.can_block is blocks
+        assert can_block(flaky) is blocks
+
+    def test_flag_is_never_inherited_through_getattr(self):
+        from repro.mediator.dispatch import can_block
+
+        class Quiet:
+            can_block = False
+
+        class Undeclared:
+            pass
+
+        delayed = FaultSchedule([("delay", 0.01)])
+        assert "can_block" in vars(FlakySource)
+        assert FlakySource(Quiet(), delayed).can_block is True
+        # a duck-typed inner that does not say counts as blocking
+        assert FlakySource(Undeclared()).can_block is True
+        assert can_block(Undeclared()) is True

@@ -4,8 +4,8 @@ The performance-observatory contract — a single ``pose()`` produces one
 ``trace_id`` that is visible on:
 
 * the ``mediator.pose`` root span (the posing thread);
-* every ``mediator.fanout.attempt`` span, which the concurrent
-  dispatcher runs on pool worker threads;
+* every ``mediator.fanout.attempt`` span, which the dispatcher runs
+  in-line or, for a source that can block, on a pool worker thread;
 * the persisted pose record, which the posing thread itself appends —
   the id rides the record, so a WAL line joins its pose's trace
   without any live span crossing into the store.
@@ -83,8 +83,9 @@ class TestOneTraceIdAcrossThreads:
         trace_id = poses[0].trace_id
         assert trace_id is not None
 
-        # every fan-out attempt (run on dispatcher worker threads)
-        # carries the pose's id — one per source here.
+        # every fan-out attempt (in-line on the posing thread here: the
+        # sources are in-process tables) carries the pose's id — one per
+        # source here.
         attempts = spans_named(finished, "mediator.fanout.attempt")
         assert len(attempts) == 2
         assert {span.trace_id for span in attempts} == {trace_id}
