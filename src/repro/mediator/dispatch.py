@@ -9,17 +9,24 @@ independently:
 
 * **Per-source executors** — one state machine (``_run_loop``) drives
   every source's attempts.  An attempt of a source that can block
-  (sleep, I/O, a remote call) runs on a per-dispatch
-  ``ThreadPoolExecutor``; an attempt of a source that cannot (an
-  in-process table, which holds the interpreter lock while it answers)
-  runs in-line on the calling thread.  Which sources can block is a
-  property of their class (:func:`can_block`); wall-clock is the *max*
-  over the threaded sources, and a dispatch with none starts no thread.
+  (sleep, I/O, a remote call) runs on one of the dispatcher's worker
+  threads; an attempt of a source that cannot (an in-process table,
+  which holds the interpreter lock while it answers) runs in-line on
+  the calling thread.  Which sources can block is a property of their
+  class (:func:`can_block`); wall-clock is the *max* over the threaded
+  sources, and a dispatch with none starts no thread.
+* **Workers outlive the dispatch** — an attempt goes to an idle worker,
+  and a new worker starts only when none is idle, so a worker stuck in
+  a hung source never delays another attempt.  A worker idle for
+  :data:`WORKER_KEEPALIVE_S` exits, as do all of them once their
+  dispatcher is collected; idle workers never delay interpreter exit.
+  ``max_workers`` caps one dispatch's attempts on the workers.
 * **Deadlines** — each threaded attempt gets ``timeout_s``; a source
   that hangs past its deadline is abandoned (the coordinator stops
-  waiting; the worker thread drains on its own) and the attempt counts
-  as a fault, judged by when it finished on its worker.  In-line
-  attempts are never preempted.
+  waiting; its worker rejoins the idle set once the source returns) and
+  the attempt counts as a fault, judged by when it finished on its
+  worker.  An attempt that expires still queued is cancelled and never
+  runs.  In-line attempts are never preempted.
 * **Retries** — :class:`~repro.errors.TransientSourceError` and deadline
   expiries are retried with bounded exponential backoff.  A
   :class:`~repro.errors.PrivacyViolation` or :class:`~repro.errors.PathError`
@@ -50,9 +57,12 @@ span, in-line or on a worker thread.
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+import weakref
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 
 from repro.errors import (
     PathError,
@@ -72,6 +82,11 @@ REFUSAL_ERRORS = (PrivacyViolation, PathError)
 FAULT_TRANSIENT = "TransientSourceError"
 FAULT_DEADLINE = "DeadlineExceeded"
 FAULT_BREAKER = "CircuitOpen"
+
+#: Seconds an idle fan-out worker waits for another attempt before it
+#: exits.  Back-to-back poses reuse their workers; a quiet dispatcher
+#: holds no thread for long.
+WORKER_KEEPALIVE_S = 1.0
 
 
 def can_block(source):
@@ -319,13 +334,123 @@ class _SourceTask:
     def __init__(self, name, breaker, now):
         self.name = name
         self.breaker = breaker
-        self.threaded = False         # attempts run on the dispatch's pool
+        self.threaded = False         # attempts run on a worker thread
         self.outcome = SourceOutcome(name)
         self.future = None            # in-flight threaded attempt
         self.attempt_started = None
         self.next_eligible = now      # earliest clock time of next attempt
         self.started = None           # first launch; wall_ms counts from it
         self.probe = False            # current attempt is a half-open probe
+
+
+class _Batch:
+    """One dispatch's share of the workers: ``cap`` attempts on them at most.
+
+    ``running`` counts the attempts handed to a worker and not yet
+    finished there, abandoned ones included; attempts over the cap wait
+    in ``backlog``.  Both change only under the owning :class:`_Workers`'
+    lock.
+    """
+
+    __slots__ = ("workers", "cap", "running", "backlog")
+
+    def __init__(self, workers, cap):
+        self.workers = workers
+        self.cap = cap
+        self.running = 0
+        self.backlog = deque()   # (batch, future, fn, args), submit order
+
+    def submit(self, fn, *args):
+        """Run ``fn(*args)`` on a worker; returns its :class:`Future`."""
+        return self.workers.submit(self, fn, args)
+
+
+class _Workers:
+    """The worker threads one dispatcher keeps across its dispatches.
+
+    Work items share one queue.  ``_idle`` counts the waiting workers no
+    queued item is promised to: a submit takes one of them, or starts a
+    new worker when there is none, so every queued item has a waiting
+    worker and none waits behind a worker stuck in a hung source.  A
+    worker counts itself idle *before* it settles its attempt's future,
+    so a dispatch that saw every attempt finish finds every worker idle.
+    Workers hold this object only, never the dispatcher, so collecting
+    the dispatcher (:meth:`close`) lets them all exit.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._work = queue.SimpleQueue()
+        self._idle = 0
+
+    def submit(self, batch, fn, args):
+        future = Future()
+        item = (batch, future, fn, args)
+        with self._lock:
+            if batch.running >= batch.cap:
+                batch.backlog.append(item)
+                return future
+            batch.running += 1
+            start = not self._idle
+            if not start:
+                self._idle -= 1
+        self._work.put(item)
+        if start:
+            threading.Thread(target=self._serve, name="repro-fanout",
+                             daemon=True).start()
+        return future
+
+    def cancel(self, batch):
+        """Drop ``batch``'s queued attempts: its dispatch has settled."""
+        with self._lock:
+            batch.backlog.clear()
+
+    def close(self):
+        """Let every worker exit (the dispatcher was collected)."""
+        self._work.put(None)
+
+    def _serve(self):
+        """Worker body: run attempts until idle past the keep-alive."""
+        while True:
+            try:
+                item = self._work.get(timeout=WORKER_KEEPALIVE_S)
+            except queue.Empty:
+                with self._lock:
+                    if self._idle:   # nothing is promised to this worker
+                        self._idle -= 1
+                        return
+                continue
+            if item is None:
+                self._work.put(None)   # pass the stop on to the next worker
+                return
+            while item is not None:
+                item = self._run(item)
+
+    def _run(self, item):
+        """Run one attempt; return the batch's next queued one, or None."""
+        batch, future, fn, args = item
+        ran = future.set_running_or_notify_cancel()
+        result = error = None
+        if ran:
+            try:
+                result = fn(*args)
+            except BaseException as exc:   # re-raised where it is read
+                error = exc
+        with self._lock:
+            following = None
+            while batch.backlog and following is None:
+                following = batch.backlog.popleft()
+                if following[1].cancelled():
+                    following = None
+            if following is None:
+                batch.running -= 1
+                self._idle += 1
+        if ran:
+            if error is None:
+                future.set_result(result)
+            else:
+                future.set_exception(error)
+        return following
 
 
 class FanoutDispatcher:
@@ -348,6 +473,8 @@ class FanoutDispatcher:
         self._breakers = {}
         self._breakers_lock = threading.Lock()
         self._last_breaker_states = {}
+        self._workers = _Workers()
+        weakref.finalize(self, self._workers.close)
 
     # -- breakers ----------------------------------------------------------
 
@@ -407,9 +534,9 @@ class FanoutDispatcher:
                     task.threaded = True
                     threaded.append(task)
         if threaded:
-            # the pool starts on the threaded attempts before the in-line
-            # ones take the calling thread
-            self._run_pooled(
+            # the workers start on the threaded attempts before the
+            # in-line ones take the calling thread
+            self._run_threaded(
                 threaded + [task for task in tasks if not task.threaded],
                 call, len(threaded),
             )
@@ -458,35 +585,32 @@ class FanoutDispatcher:
 
     # -- the state machine -------------------------------------------------
 
-    def _run_pooled(self, tasks, call, n_threaded):
+    def _run_threaded(self, tasks, call, n_threaded):
         # Capture the full trace context (trace id + parent span), not
         # just the parent: restoring it on the worker makes the attempt
-        # span carry the pose's trace id across the pool boundary.
+        # span carry the pose's trace id across the thread boundary.
         context = TraceContext.capture(self.telemetry.tracer)
-        # Default pool leaves headroom for retries: a hung attempt that
-        # blew its deadline keeps occupying a worker until it drains, and
+        # The default cap leaves headroom for retries: a hung attempt
+        # that blew its deadline keeps counting until it returns, and
         # its replacement must not queue behind it.
-        workers = self.policy.max_workers or min(
+        batch = _Batch(self._workers, self.policy.max_workers or min(
             64, n_threaded * (self.policy.retries + 1)
-        )
-        pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-fanout",
-        )
+        ))
         try:
-            self._run_loop(tasks, call, pool, context)
+            self._run_loop(tasks, call, batch, context)
         finally:
-            # Abandoned (hung) attempts drain on their own threads; do
-            # not block the pose() on them.
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Abandoned (hung) attempts finish on their own workers; do
+            # not block the pose() on them.  Queued ones never run.
+            self._workers.cancel(batch)
 
-    def _run_loop(self, tasks, call, pool=None, context=None):
+    def _run_loop(self, tasks, call, batch=None, context=None):
         """Drive every task to settlement, threaded and in-line alike.
 
         Each pass launches every due attempt in ``tasks`` order: a
-        threaded one is submitted to ``pool``, an in-line one runs and
-        settles on the spot.  Then the loop sleeps off backoffs or waits
-        for the pool.  With nothing on the pool it allocates no future
-        and never polls.
+        threaded one is submitted to ``batch`` (the dispatch's share of
+        the workers), an in-line one runs and settles on the spot.  Then
+        the loop sleeps off backoffs or waits for the workers.  With
+        nothing on a worker it allocates no future and never polls.
         """
         timeout_s = self.policy.timeout_s
         pending = tasks
@@ -494,7 +618,7 @@ class FanoutDispatcher:
         while True:
             for task in pending:
                 if task.future is None and task.next_eligible <= now:
-                    self._launch_attempt(task, call, pool, context)
+                    self._launch_attempt(task, call, batch, context)
             pending = [t for t in pending if t.outcome.status == "pending"]
             if not pending:
                 return
@@ -512,20 +636,20 @@ class FanoutDispatcher:
             for future, task in in_flight.items():
                 if future in done:
                     finished, error, response = future.result()
-                    task.future = None
                     if (timeout_s is not None
                             and finished - task.attempt_started >= timeout_s):
                         # it finished late while in-line attempts held
                         # the calling thread
                         self._expire_attempt(task)
                     else:
+                        task.future = None
                         self._absorb(task, _replay, error, response)
                 elif (timeout_s is not None
                         and now - task.attempt_started >= timeout_s):
                     self._expire_attempt(task)
             pending = [t for t in pending if t.outcome.status == "pending"]
 
-    def _launch_attempt(self, task, call, pool, context):
+    def _launch_attempt(self, task, call, batch, context):
         now = self._clock()
         if task.started is None:
             task.started = now
@@ -537,7 +661,7 @@ class FanoutDispatcher:
         task.outcome.attempts += 1
         if task.threaded:
             task.attempt_started = now
-            task.future = pool.submit(
+            task.future = batch.submit(
                 self._attempt_on_worker, context, call, task.name,
                 task.outcome.attempts,
             )
@@ -589,6 +713,7 @@ class FanoutDispatcher:
     def _expire_attempt(self, task):
         """An in-flight attempt blew its deadline: abandon and retry."""
         task.breaker.record_failure()
+        task.future.cancel()  # a queued attempt never runs
         task.future = None  # abandon; late result is ignored
         task.outcome.faults.append(FAULT_DEADLINE)
         self._schedule_retry(

@@ -6,12 +6,19 @@ and through a full ``pose()`` — with scripted
 errors, hangs, refusals, and circuit-breaker lifecycles.
 """
 
+import gc
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.mediator.dispatch as dispatch_module
 from repro.errors import (
     PrivacyViolation,
     SourceUnavailable,
@@ -467,6 +474,211 @@ class TestWorkerThreads:
         finally:
             release.set()
         assert _join_all(list(workers)) == []
+
+
+@pytest.fixture()
+def fanout_starts(monkeypatch):
+    """The ``repro-fanout`` threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        if thread.name.startswith("repro-fanout"):
+            started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+class TestWorkerReuse:
+    """The dispatcher's workers outlive a dispatch and are reused."""
+
+    def test_sequential_dispatches_reuse_their_threads(self, fanout_starts):
+        dispatcher = FanoutDispatcher(DispatchPolicy())
+        workers = set()
+        call = TestWorkerThreads._recording_call(workers)
+        names = [f"s{i}" for i in range(8)]
+        for _ in range(200):
+            result = dispatcher.dispatch(names, call)
+            assert sorted(result.responses) == names
+        # 1600 threaded attempts, at most one thread started per source
+        assert 1 <= len(fanout_starts) <= 8
+        assert workers <= set(fanout_starts)
+
+    def test_concurrent_dispatches_under_fast_thread_switching(
+            self, fanout_starts):
+        # More callers than cores and a switch interval far below the
+        # default: a lost update to the idle count or to a backlog would
+        # strand an attempt (its dispatch never settles, no deadline is
+        # set) or start more workers than attempts can be in flight.
+        dispatcher = FanoutDispatcher(DispatchPolicy(max_workers=2))
+        names = [f"s{i}" for i in range(8)]
+        calls = {name: 0 for name in names}
+        calls_lock = threading.Lock()
+        results = []
+
+        def call(name):
+            with calls_lock:
+                calls[name] += 1
+            return name
+
+        def caller():
+            for _ in range(25):
+                results.append(dispatcher.dispatch(names, call))
+
+        callers = [threading.Thread(target=caller, daemon=True)
+                   for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in callers:
+                thread.start()
+            stuck = _join_all(callers, timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert stuck == []
+        assert len(results) == 200
+        assert all(sorted(r.responses) == names for r in results)
+        assert calls == {name: 200 for name in names}
+        # at most max_workers attempts of each of the 8 callers at once
+        assert len(fanout_starts) <= 8 * 2
+
+    def test_retry_after_a_hang_runs_on_another_worker_in_time(self):
+        release = threading.Event()
+        ran = []
+
+        def call(name):
+            ran.append((name, threading.current_thread()))
+            if name == "hang" and len(ran) == 2:
+                release.wait(5.0)
+            return name
+
+        dispatcher = FanoutDispatcher(DispatchPolicy(
+            timeout_s=0.1, retries=1, backoff_base_s=0.001,
+            partial="best_effort",
+        ))
+        dispatcher.dispatch(["warm"], call)   # an idle worker exists
+        try:
+            started = time.monotonic()
+            result = dispatcher.dispatch(["hang"], call)
+            elapsed = time.monotonic() - started
+        finally:
+            release.set()
+        assert result.responses == {"hang": "hang"}
+        assert result.outcomes["hang"].faults == [FAULT_DEADLINE]
+        hung, retry = ran[1][1], ran[2][1]
+        assert retry is not hung
+        # the retry answered inside its own deadline, not after the hang
+        assert elapsed < 2 * 0.1 + 0.5
+        assert _join_all([t for _, t in ran]) == []
+
+    def test_abandoned_attempts_do_not_count_against_a_later_dispatch(self):
+        release = threading.Event()
+        workers = set()
+        call = TestWorkerThreads._recording_call(workers, hang="hang",
+                                                 release=release)
+        dispatcher = FanoutDispatcher(DispatchPolicy(
+            max_workers=1, timeout_s=0.05, retries=0, partial="best_effort",
+        ))
+        try:
+            for _ in range(3):
+                abandoned = dispatcher.dispatch(["hang"], call)
+                assert abandoned.unavailable["hang"].kind == FAULT_DEADLINE
+            # three workers are stuck in the hang; the cap of one is this
+            # dispatch's own, so "b" runs at once
+            result = dispatcher.dispatch(["b"], call)
+        finally:
+            release.set()
+        assert result.responses == {"b": "b"}
+        assert result.outcomes["b"].faults == []
+        assert len(workers) == 4
+        assert _join_all(list(workers)) == []
+
+    def test_attempt_expired_while_queued_never_runs(self):
+        # One worker: "slow" holds it for 0.5 s while every other attempt
+        # queues.  Two rounds of attempts expire in the queue; the third
+        # round runs once the worker frees up and answers in time.  The
+        # expired attempts must not call their source.
+        calls = {"slow": 0, "b": 0}
+
+        def call(name):
+            calls[name] += 1
+            if name == "slow" and calls["slow"] == 1:
+                time.sleep(0.5)
+            return name
+
+        dispatcher = FanoutDispatcher(DispatchPolicy(
+            max_workers=1, timeout_s=0.2, retries=3, backoff_base_s=0.001,
+            partial="best_effort",
+        ))
+        result = dispatcher.dispatch(["slow", "b"], call)
+        assert sorted(result.responses) == ["b", "slow"]
+        assert result.outcomes["b"].faults == [FAULT_DEADLINE] * 2
+        assert result.outcomes["slow"].faults == [FAULT_DEADLINE] * 2
+        assert calls == {"slow": 2, "b": 1}
+
+    def test_idle_workers_exit_after_the_keep_alive(self, monkeypatch,
+                                                   fanout_starts):
+        monkeypatch.setattr(dispatch_module, "WORKER_KEEPALIVE_S", 0.2)
+        dispatcher = FanoutDispatcher(DispatchPolicy())
+        together = threading.Barrier(3)
+
+        def call(name):
+            together.wait(5.0)   # all three attempts on a worker at once
+            return name
+
+        dispatcher.dispatch(["a", "b", "c"], call)
+        first = list(fanout_starts)
+        assert len(first) == 3 and all(t.is_alive() for t in first)
+        dispatcher.dispatch(["a", "b", "c"], call)
+        assert fanout_starts == first   # reused inside the keep-alive
+        assert _join_all(first) == []
+        # the dispatcher is alive and starts fresh workers when needed
+        result = dispatcher.dispatch(["a"], lambda name: name)
+        assert result.responses == {"a": "a"}
+        assert len(fanout_starts) == len(first) + 1
+
+    def test_collected_dispatcher_leaves_no_worker(self, monkeypatch,
+                                                   fanout_starts):
+        # a keep-alive longer than the test: only collection ends them
+        monkeypatch.setattr(dispatch_module, "WORKER_KEEPALIVE_S", 60.0)
+        dispatcher = FanoutDispatcher(DispatchPolicy())
+        dispatcher.dispatch(["a", "b", "c"], lambda name: name)
+        assert fanout_starts and all(t.is_alive() for t in fanout_starts)
+        del dispatcher
+        gc.collect()
+        assert _join_all(fanout_starts) == []
+        assert not set(fanout_starts) & set(threading.enumerate())
+
+    def test_idle_workers_do_not_delay_interpreter_exit(self):
+        keep_alive = 30.0
+        script = textwrap.dedent(f"""
+            import threading
+            import repro.mediator.dispatch as dispatch
+            from repro.testing import FaultSchedule, build_flaky_system
+
+            dispatch.WORKER_KEEPALIVE_S = {keep_alive}
+            system, _ = build_flaky_system(
+                2, schedule_for=lambda name, index: FaultSchedule(
+                    [("delay", 0.01)]))
+            system.query({QUERY!r}, requester="exit")
+            assert any(t.name.startswith("repro-fanout")
+                       for t in threading.enumerate())
+            print("posed", flush=True)
+        """)
+        src = str(Path(dispatch_module.__file__).resolve().parents[2])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=keep_alive,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "posed"
+        assert time.monotonic() - started < keep_alive
 
 
 POLICIES = """
