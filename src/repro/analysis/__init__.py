@@ -11,10 +11,11 @@ Two engines live here:
   runtime checks enumerated).  The mediation engine runs it as a
   pre-dispatch gate (``PrivateIye(static_check=...)``, on by default).
 * :mod:`repro.analysis.lint` — a stdlib-``ast`` lint framework with
-  repo-specific rules (REP001–REP007) guarding the invariants earlier
-  PRs introduced by convention: telemetry lock discipline, refusal
-  finality, the :class:`~repro.errors.ReproError` hierarchy, layering,
-  swallowed exceptions, and mutable default arguments.  Run it with
+  repo-specific rules (REP002–REP009, REP012–REP013) guarding the
+  invariants earlier PRs introduced by convention: refusal finality,
+  the :class:`~repro.errors.ReproError` hierarchy, layering, swallowed
+  exceptions, and mutable default arguments.  Lock discipline is the
+  whole-program REP011 of :mod:`repro.analysis.flow`.  Run it with
   ``python -m repro.analysis.lint src/``.
 
 See ``docs/static_analysis.md`` for the verdict lattice and rule

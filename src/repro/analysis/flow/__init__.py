@@ -17,10 +17,11 @@ the two questions this package answers:
   (:mod:`~repro.analysis.flow.catalog`).
 
 * **REP011 — is every shared mutable guarded by a consistent lock?**
-  The per-file REP001 rule checks one method at a time and cannot see
-  that a private helper is only ever called with the lock already held,
-  or that two methods guard the same attribute with *different* locks.
-  The lockset pass (:mod:`~repro.analysis.flow.locks`) resolves both
+  A check of one method at a time cannot see that a private helper is
+  only ever called with the lock already held, that two methods guard
+  the same attribute with *different* locks, or that a lock-owning
+  class mutates another object's state under its lock.  The lockset
+  pass (:mod:`~repro.analysis.flow.locks`) resolves these
   whole-program and emits ``shared_state_map.json`` — the verified
   inventory of lock-guarded mutables the sharded-service work consumes
   as its partitioning spec.

@@ -76,7 +76,7 @@ class FunctionInfo:
 class ClassInfo:
     """One class: its methods, base names, and inferred attribute types."""
 
-    __slots__ = ("qname", "module", "node", "bases", "methods",
+    __slots__ = ("qname", "module", "node", "bases", "methods", "attrs",
                  "attr_types", "lock_attrs", "sync_attrs", "fields")
 
     def __init__(self, qname, module, node):
@@ -85,6 +85,7 @@ class ClassInfo:
         self.node = node
         self.bases = [_base_name(b) for b in node.bases]
         self.methods = {}     # bare name → FunctionInfo
+        self.attrs = set()    # every self.<attr> a method assigns
         self.attr_types = {}  # self.<attr> → set of class qnames
         self.lock_attrs = set()  # self.<attr> holding a threading lock
         self.sync_attrs = set()  # self-synchronized: Queue, threading.local
@@ -236,7 +237,7 @@ _SELF_SYNC_FACTORIES = {"Queue", "SimpleQueue", "LifoQueue",
 
 
 def _infer_attr_types(program):
-    """Fill each class's ``attr_types`` and ``lock_attrs``.
+    """Fill each class's ``attrs``, ``attr_types`` and ``lock_attrs``.
 
     Scans every method for ``self.<attr> = <expr>`` where the expression
     is a recognizable constructor call, a module-level singleton, or a
@@ -253,6 +254,7 @@ def _infer_attr_types(program):
                     attr = _self_attr(target)
                     if attr is None:
                         continue
+                    class_info.attrs.add(attr)
                     type_name = _constructed_class(program, class_info,
                                                    node.value)
                     if type_name is not None:

@@ -1,9 +1,9 @@
 """Whole-program lockset analysis (REP011) and the shared-state map.
 
-The per-file REP001 rule sees one method at a time: it cannot tell that a
-private helper is only ever invoked with the owner's lock already held,
-and it cannot see that two methods guard the *same* attribute with
-*different* locks.  This pass generalizes it over the whole program:
+A check of one method at a time cannot tell that a private helper is
+only ever invoked with the owner's lock already held, and it cannot see
+that two methods guard the *same* attribute with *different* locks.
+This pass resolves both over the whole program:
 
 1. **Lock discovery.**  A class that assigns ``threading.Lock()`` (or
    RLock/Condition/Semaphore) to an attribute is a *lock-owning* class —
@@ -17,7 +17,13 @@ and it cannot see that two methods guard the *same* attribute with
    stores, mutator-method calls like ``append``/``popitem``, and
    mutations of nested state such as ``self.stats.hits += 1``) is
    recorded with the lockset in force, as is every intra-class call with
-   the lockset at the call site.
+   the lockset at the call site.  So is a mutation of *another* object's
+   attribute (``batch.backlog.clear()``) when the receiver's class
+   resolves: a local name whose attributes, as the method uses them,
+   only one class in the program declares.  That class is recorded as
+   guarded by the mutating class's lock (``_Workers._lock``), and only
+   its attributes mutated under such a lock at least once count as
+   shared.
 
 3. **Caller-held-lock credit (fixpoint).**  A private method's *entry
    lockset* is the intersection, over every recorded in-class call, of
@@ -55,8 +61,7 @@ from pathlib import Path
 from repro.analysis.flow.loader import load_program
 from repro.analysis.lint.core import Finding
 
-#: Mutator method names that change their receiver in place (shared with
-#: the per-file REP001 rule's vocabulary, extended with deque's ends).
+#: Mutator method names that change their receiver in place.
 _MUTATORS = {"append", "extend", "add", "update", "pop", "popitem",
              "remove", "discard", "clear", "insert", "appendleft",
              "popleft", "setdefault", "move_to_end", "put", "put_nowait"}
@@ -67,19 +72,29 @@ _EMPTY = frozenset()
 class MutationSite:
     """One write to shared instance state, with the locks held there."""
 
-    __slots__ = ("class_qname", "attr", "method_qname", "line", "col",
-                 "locks_held", "effective", "kind")
+    __slots__ = ("class_qname", "attr", "method_qname", "owner", "line",
+                 "col", "locks_held", "effective", "kind")
 
-    def __init__(self, class_qname, attr, method_qname, line, col,
+    def __init__(self, class_qname, attr, method_qname, owner, line, col,
                  locks_held, kind):
         self.class_qname = class_qname
         self.attr = attr
         self.method_qname = method_qname
+        self.owner = owner              # class whose locks the sets name
         self.line = line
         self.col = col
         self.locks_held = locks_held    # locks held syntactically at site
         self.effective = locks_held     # + caller-held credit (fixpoint)
         self.kind = kind                # "assign" | "augassign" | "mutator"
+
+    def guards(self, class_locks):
+        """The owner's locks in force here, named as the map names them:
+        ``_lock`` on the owner's own state, ``Owner._lock`` on another's."""
+        held = self.effective & class_locks[self.owner]
+        if self.owner == self.class_qname:
+            return frozenset(held)
+        owner = self.owner.rsplit(".", 1)[-1]
+        return frozenset(f"{owner}.{lock}" for lock in held)
 
     def __repr__(self):
         held = ",".join(sorted(self.effective)) or "-"
@@ -110,13 +125,13 @@ class LockAnalysis:
         for class_qname in sorted(self.sites):
             sites = self.sites[class_qname]
             class_info = self.program.classes[class_qname]
-            locks = sorted(self.class_locks.get(class_qname, ()))
+            locks = sorted(set().union(*(
+                site.guards(self.class_locks) for site in sites
+            ), self.class_locks.get(class_qname, ())))
             attributes = {}
             for attr in sorted({site.attr for site in sites}):
                 attr_sites = [s for s in sites if s.attr == attr]
-                attributes[attr] = self._attribute_entry(
-                    class_qname, locks, attr_sites
-                )
+                attributes[attr] = self._attribute_entry(attr_sites)
             classes[class_qname] = {
                 "module": class_info.module.name,
                 "path": _portable_path(class_info.module.path),
@@ -133,10 +148,9 @@ class LockAnalysis:
             "classes": classes,
         }
 
-    def _attribute_entry(self, class_qname, locks, attr_sites):
+    def _attribute_entry(self, attr_sites):
         non_init = [s for s in attr_sites if not _is_init(s.method_qname)]
-        guards = [frozenset(s.effective) & frozenset(locks)
-                  for s in non_init]
+        guards = [s.guards(self.class_locks) for s in non_init]
         common = None
         for guard in guards:
             common = guard if common is None else (common & guard)
@@ -150,7 +164,7 @@ class LockAnalysis:
                     "method": s.method_qname,
                     "line": s.line,
                     "kind": s.kind,
-                    "locks_held": sorted(s.effective),
+                    "locks_held": sorted(s.guards(self.class_locks)),
                     "thread_contexts": self._contexts(s.method_qname),
                 }
                 for s in sorted(attr_sites,
@@ -190,11 +204,12 @@ def analyze_locks(paths_or_program):
         if not class_info.lock_attrs:
             continue
         analysis.class_locks[class_info.qname] = set(class_info.lock_attrs)
-        sites = analysis.sites.setdefault(class_info.qname, [])
+        analysis.sites.setdefault(class_info.qname, [])
         for method in class_info.methods.values():
-            scan = _MethodScan(class_info, method)
+            scan = _MethodScan(class_info, method, program)
             scan.walk(method.node.body, _EMPTY)
-            sites.extend(scan.sites)
+            for site in scan.sites:
+                analysis.sites.setdefault(site.class_qname, []).append(site)
             for callee, lockset in scan.internal_calls:
                 internal_calls.setdefault(callee, []).append(
                     (method.qname, lockset)
@@ -207,6 +222,7 @@ def analyze_locks(paths_or_program):
             site.effective = frozenset(
                 site.locks_held | entry.get(site.method_qname, _EMPTY)
             )
+    _keep_guarded_foreign_state(analysis)
 
     # Pass 3: thread entry points and reachability.
     analysis.worker_entries = _find_worker_entries(program)
@@ -241,12 +257,13 @@ def _portable_path(path):
 class _MethodScan:
     """Walks one method body tracking the lockset currently held."""
 
-    def __init__(self, class_info, method):
+    def __init__(self, class_info, method, program):
         self.class_info = class_info
         self.method = method
         self.locks = class_info.lock_attrs
         self.sites = []
         self.internal_calls = []  # (callee qname, lockset at call site)
+        self.receivers = _receiver_classes_by_name(method.node, program)
 
     def walk(self, body, lockset):
         """Walk a statement list, threading acquire()/release() state."""
@@ -305,29 +322,19 @@ class _MethodScan:
 
     def _expression(self, node, lockset):
         for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)):
                 continue
             func = call.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            attr_chain = _self_attr_chain(func.value)
-            if attr_chain:
-                if func.attr in _MUTATORS:
-                    self._record(attr_chain[0], lockset, call, "mutator")
-                else:
-                    # a call on self/self.attr: record the intra-class edge
-                    self._record_internal_call(func, lockset)
+            chain = _attr_chain(func.value)
+            if chain is not None and func.attr in _MUTATORS:
+                self._record(chain, lockset, call, "mutator")
             elif isinstance(func.value, ast.Name) \
                     and func.value.id == "self":
-                self._record_internal_call(func, lockset)
-
-    def _record_internal_call(self, func, lockset):
-        if not (isinstance(func.value, ast.Name)
-                and func.value.id == "self"):
-            return
-        callee = self.class_info.methods.get(func.attr)
-        if callee is not None:
-            self.internal_calls.append((callee.qname, lockset))
+                # a call on self: record the intra-class edge
+                callee = self.class_info.methods.get(func.attr)
+                if callee is not None:
+                    self.internal_calls.append((callee.qname, lockset))
 
     def _record_target(self, target, lockset, node, kind="assign"):
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -337,23 +344,29 @@ class _MethodScan:
         if isinstance(target, ast.Starred):
             self._record_target(target.value, lockset, node, kind)
             return
-        chain = _self_attr_chain(target)
-        if chain:
-            if len(chain) > 1 \
-                    and chain[0] in self.class_info.sync_attrs:
-                return  # store *through* a self-synchronized object
-            self._record(chain[0], lockset, node, kind)
+        chain = _attr_chain(target)
+        if chain is not None:
+            self._record(chain, lockset, node, kind)
 
-    def _record(self, attr, lockset, node, kind):
-        if attr in self.locks:
+    def _record(self, chain, lockset, node, kind):
+        """Record a mutation of ``chain`` (``["self", "attr", …]``, or a
+        local name whose class resolves) with the lockset in force."""
+        base, attr = chain[0], chain[1]
+        owned = self.class_info.qname
+        if base != "self":
+            owned = self.receivers.get(base)
+            if owned is None:
+                return
+        elif attr in self.locks:
             return  # assigning/acquiring the lock itself is not shared data
-        if kind == "mutator" and attr in self.class_info.sync_attrs:
+        elif attr in self.class_info.sync_attrs \
+                and (len(chain) > 2 or kind == "mutator"):
             # queue.Queue and friends lock internally; calling put() on
-            # one needs no class-owned lock.  Rebinding the *slot*
-            # (kind "assign") is still a shared mutation and still flags.
+            # one, or storing through it, needs no class-owned lock.
+            # Rebinding the *slot* is still a shared mutation and flags.
             return
         self.sites.append(MutationSite(
-            self.class_info.qname, attr, self.method.qname,
+            owned, attr, self.method.qname, self.class_info.qname,
             getattr(node, "lineno", 1), getattr(node, "col_offset", 0),
             frozenset(lockset), kind,
         ))
@@ -399,25 +412,54 @@ def _self_attr(node):
     return None
 
 
-def _self_attr_chain(node):
-    """``["stats", "hits"]`` for ``self.stats.hits``; None otherwise.
+def _attr_chain(node):
+    """``["self", "stats", "hits"]`` for ``self.stats.hits``; any name
+    with at least one attribute, else None.
 
     Subscripts along the way (``self._entries[key]``) keep the chain —
     the *base* attribute is the shared object being mutated.
     """
     parts = []
-    while True:
-        if isinstance(node, ast.Subscript):
-            node = node.value
-            continue
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
         if isinstance(node, ast.Attribute):
             parts.append(node.attr)
-            node = node.value
-            continue
-        break
-    if isinstance(node, ast.Name) and node.id == "self" and parts:
-        return list(reversed(parts))
+        node = node.value
+    if isinstance(node, ast.Name) and parts:
+        return [node.id] + parts[::-1]
     return None
+
+
+def _receiver_classes_by_name(function_node, program):
+    """``{local name: class qname}`` for the non-self names of one
+    function whose attributes, as used there, exactly one class in the
+    program declares (its methods, fields and ``self.<attr>`` stores):
+    the unique-definition rule the taint engine applies to unresolved
+    method receivers."""
+    used = {}
+    for node in ast.walk(function_node):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id != "self":
+            used.setdefault(node.value.id, set()).add(node.attr)
+    receivers = {}
+    for name, attrs in used.items():
+        matches = [info.qname for info in program.classes.values()
+                   if attrs <= info.attrs | set(info.methods)
+                   | set(info.fields)]
+        if len(matches) == 1:
+            receivers[name] = matches[0]
+    return receivers
+
+
+def _keep_guarded_foreign_state(analysis):
+    """Drop another object's attributes that no lock ever guards: a
+    helper built and filled on one thread is not shared state."""
+    for class_qname in set(analysis.sites) - set(analysis.class_locks):
+        sites = analysis.sites.pop(class_qname)
+        shared = {s.attr for s in sites if s.guards(analysis.class_locks)}
+        if shared:
+            analysis.sites[class_qname] = [s for s in sites
+                                           if s.attr in shared]
 
 
 # -- pass 2: caller-held-lock credit --------------------------------------
@@ -605,8 +647,6 @@ def _reachable(graph, start):
 def _collect_findings(analysis):
     program = analysis.program
     for class_qname in sorted(analysis.sites):
-        locks = frozenset(analysis.class_locks[class_qname])
-        class_info = program.classes[class_qname]
         by_attr = {}
         for site in analysis.sites[class_qname]:
             if _is_init(site.method_qname):
@@ -614,7 +654,7 @@ def _collect_findings(analysis):
             by_attr.setdefault(site.attr, []).append(site)
         for attr in sorted(by_attr):
             sites = by_attr[attr]
-            guards = {site: frozenset(site.effective) & locks
+            guards = {site: site.guards(analysis.class_locks)
                       for site in sites}
             guarded = [g for g in guards.values() if g]
             common = None
@@ -622,26 +662,29 @@ def _collect_findings(analysis):
                 common = guard if common is None else (common & guard)
             for site in sites:
                 guard = guards[site]
+                owner = site.owner.rsplit(".", 1)[-1]
+                target = ("self" if site.owner == class_qname
+                          else class_qname.rsplit(".", 1)[-1])
+                path = program.classes[site.owner].module.path
                 if not guard:
-                    lock_name = sorted(locks)[0]
+                    locks = sorted(analysis.class_locks[site.owner])
                     analysis.findings.append(Finding(
                         "REP011",
-                        f"{class_qname.rsplit('.', 1)[-1]}."
-                        f"{site.method_qname.rsplit('.', 1)[-1]} mutates "
-                        f"self.{attr} with no lock held (class owns "
-                        f"{sorted(locks)}) — guard with `with "
-                        f"self.{lock_name}:` or suppress with a written "
+                        f"{owner}.{site.method_qname.rsplit('.', 1)[-1]} "
+                        f"mutates {target}.{attr} with no lock held (class "
+                        f"owns {locks}) — guard with `with "
+                        f"self.{locks[0]}:` or suppress with a written "
                         "justification",
-                        class_info.module.path, site.line, site.col,
+                        path, site.line, site.col,
                     ))
                 elif common is not None and not common and guarded:
                     analysis.findings.append(Finding(
                         "REP011",
-                        f"self.{attr} is guarded by "
+                        f"{target}.{attr} is guarded by "
                         f"{sorted(guard)} here but by a different lock "
                         f"elsewhere in {class_qname} — pick one lock per "
                         "attribute",
-                        class_info.module.path, site.line, site.col,
+                        path, site.line, site.col,
                     ))
     analysis.findings.sort(
         key=lambda f: (str(f.path), f.line, f.col, f.message)

@@ -2,7 +2,6 @@
 
 Machine-checks the conventions earlier PRs established by hand:
 
-* **REP001** shared state in lock-owning classes mutated outside the lock
 * **REP002** refusals caught and retried (refusal finality)
 * **REP003** raising builtin exceptions instead of the ReproError hierarchy
 * **REP004** layering violations (a lower layer importing a higher one)
@@ -27,7 +26,7 @@ from repro.analysis.lint.core import (
     lint_source,
     rule,
 )
-from repro.analysis.lint import rules as _rules  # registers REP001–REP007
+from repro.analysis.lint import rules as _rules  # registers the rules
 
 __all__ = [
     "Finding",

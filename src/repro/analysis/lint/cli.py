@@ -31,7 +31,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
         description="repro-lint: repo-specific invariant checks "
-                    "(REP001-9, REP012-13; "
+                    "(REP002-9, REP012-13; "
                     "REP010/REP011 are whole-program — see "
                     "python -m repro.analysis.flow)",
     )

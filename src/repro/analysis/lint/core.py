@@ -180,7 +180,7 @@ class Suppressions:
                 yield Finding(
                     UNKNOWN_SUPPRESSION_CODE,
                     f"suppression names unknown rule code {code!r} — it "
-                    "suppresses nothing (known codes: per-file REP001-9 "
+                    "suppresses nothing (known codes: per-file REP002-9 "
                     "and REP012-13, whole-program REP010-11)",
                     path, line,
                 )

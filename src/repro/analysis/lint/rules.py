@@ -3,9 +3,6 @@
 Each rule guards an invariant this repo established in an earlier PR and
 previously enforced only by convention and review:
 
-* REP001 — classes that own a lock must mutate their shared attributes
-  under it (PR 1/2: telemetry registries are shared across dispatcher
-  threads).
 * REP002 — a refusal (``PrivacyViolation``/``AuditRefusal``/
   ``REFUSAL_ERRORS``) is a *final protocol answer*; catching one inside
   a loop and retrying (``continue``) or ignoring it (``pass``) breaks
@@ -58,13 +55,7 @@ import ast
 
 from repro.analysis.lint.core import rule
 
-# -- REP001: shared state mutated outside the owning lock ---------------------
-
-_LOCK_FACTORIES = {"Lock", "RLock", "Condition", "Semaphore",
-                   "BoundedSemaphore"}
-_MUTATORS = {"append", "extend", "add", "update", "pop", "popitem",
-             "remove", "discard", "clear", "insert", "appendleft",
-             "popleft", "setdefault"}
+# -- shared AST helpers -------------------------------------------------------
 
 
 def _call_factory_name(node):
@@ -85,105 +76,6 @@ def _self_attribute(node):
             and node.value.id == "self"):
         return node.attr
     return None
-
-
-def _lock_attributes(class_node):
-    """Attributes of ``class_node`` assigned a lock in ``__init__``."""
-    locks = set()
-    for item in class_node.body:
-        if not (isinstance(item, ast.FunctionDef)
-                and item.name == "__init__"):
-            continue
-        for node in ast.walk(item):
-            if isinstance(node, ast.Assign):
-                if _call_factory_name(node.value) in _LOCK_FACTORIES:
-                    for target in node.targets:
-                        attr = _self_attribute(target)
-                        if attr is not None:
-                            locks.add(attr)
-    return locks
-
-
-def _mutated_self_attribute(node):
-    """The ``self.<attr>`` a statement/expression mutates, if any."""
-    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        for target in targets:
-            attr = _self_attribute(target)
-            if attr is not None:
-                return attr
-            if isinstance(target, ast.Subscript):
-                attr = _self_attribute(target.value)
-                if attr is not None:
-                    return attr
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr in _MUTATORS:
-            attr = _self_attribute(node.func.value)
-            if attr is not None:
-                return attr
-    return None
-
-
-def _holds_lock(with_node, locks):
-    for item in with_node.items:
-        expr = item.context_expr
-        # accept ``with self._lock:`` and ``with self._lock.acquire():``
-        attr = _self_attribute(expr)
-        if attr in locks:
-            return True
-        if (isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Attribute)
-                and _self_attribute(expr.func.value) in locks):
-            return True
-    return False
-
-
-@rule("REP001", "shared state of a lock-owning class mutated outside its lock")
-def check_lock_discipline(context):
-    for class_node in ast.walk(context.tree):
-        if not isinstance(class_node, ast.ClassDef):
-            continue
-        locks = _lock_attributes(class_node)
-        if not locks:
-            continue
-        for method in class_node.body:
-            if not isinstance(method, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
-                continue
-            if method.name == "__init__":
-                continue  # construction happens-before sharing
-            yield from _scan_method(context, class_node, method, locks)
-
-
-def _scan_method(context, class_node, method, locks, under_lock=False):
-    """Walk one method body tracking whether the class lock is held."""
-    for node in ast.iter_child_nodes(method):
-        yield from _scan_node(context, class_node, method, node, locks,
-                              under_lock)
-
-
-def _scan_node(context, class_node, method, node, locks, under_lock):
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                         ast.Lambda)):
-        return  # nested function: called later, lock state unknown
-    if isinstance(node, (ast.With, ast.AsyncWith)):
-        held = under_lock or _holds_lock(node, locks)
-        for child in node.body:
-            yield from _scan_node(context, class_node, method, child,
-                                  locks, held)
-        return
-    if not under_lock:
-        attr = _mutated_self_attribute(node)
-        if attr is not None and attr not in locks:
-            yield context.finding(
-                "REP001",
-                f"{class_node.name}.{method.name} mutates self.{attr} "
-                f"outside `with self.{sorted(locks)[0]}`",
-                node,
-            )
-    for child in ast.iter_child_nodes(node):
-        yield from _scan_node(context, class_node, method, child, locks,
-                              under_lock)
 
 
 # -- REP002: refusal caught and retried ---------------------------------------

@@ -8,9 +8,10 @@ control, history/sequence guarding, and the hybrid warehouse into one
 
 Every pose settles into one :class:`PoseRecord`, answered or refused,
 once its ``mediator.pose`` span closes.  One settle step then projects
-it, in one order: the disclosure-journal record, the write-ahead log
-record, the ``pose.<status>`` event, the snooper fold (answered only),
-the per-query :class:`~repro.telemetry.explain.ExplainReport` (the
+it, in one order: the disclosure-journal record (the pose's chained
+payload, serialized once), the write-ahead log record (those bytes, in
+an envelope), the ``pose.<status>`` event, the snooper fold (answered
+only), the per-query :class:`~repro.telemetry.explain.ExplainReport` (the
 privacy ledger, which also records the fragmentation plan, the guard
 verdict, the warehouse leg and each source's outcome as the pipeline
 runs) and the metrics.  With telemetry disabled (the default) the
@@ -63,7 +64,7 @@ class PoseRecord:
     """How one pose settled; every record of the pose is read off it.
 
     A refused pose disclosed nothing: no losses, no cells, no rows.
-    :meth:`to_dict` is the flat form a WAL pose record is built on.
+    :meth:`chained` is what the journal hashes and the WAL writes.
     """
 
     requester: str
@@ -94,17 +95,24 @@ class PoseRecord:
                    tuple(released_cells(query, result)), len(result.rows),
                    result.duplicates_removed, span.duration_ms)
 
-    def to_dict(self):
-        """Every field, JSON-serializable."""
-        record = {name: getattr(self, name) for name in self.__slots__}
-        record["cells"] = [list(cell) for cell in self.cells]
-        return record
+    def chained(self, seq=None, ts=None, cumulative_loss=None):
+        """The chained payload: every field but ``trace_id`` and
+        ``duration_ms`` (they describe the run, not the disclosure, and
+        differ between a loop and a ``pose_many`` batch), plus the
+        journal's ``seq``, ``ts`` and cumulative loss (``None`` when no
+        journal keeps the pose)."""
+        payload = {name: getattr(self, name) for name in self.__slots__
+                   if name not in ("trace_id", "duration_ms")}
+        payload["cells"] = [list(cell) for cell in self.cells]
+        payload.update(seq=seq, ts=ts, cumulative_loss=cumulative_loss)
+        return payload
 
     def settle(self, engine, report, event_mark):
         """Project the pose onto every record of it, in one order.
 
-        Journal → WAL (the write-ahead point: the pose is durable before
-        anyone hears of it) → ``pose.<status>`` event → snooper fold
+        Journal (hashes the chained bytes) → WAL (writes them: the
+        write-ahead point, the pose is durable before anyone hears of
+        it) → ``pose.<status>`` event → snooper fold
         (answered only) → explain ledger → metrics, for both statuses.
         The caller then returns the result or re-raises the refusal.
         Reading the fields through ``self`` lets the flow analyzer track

@@ -6,10 +6,11 @@ for the paper's sequence attack as it develops:
 
 * :class:`~repro.observatory.journal.AuditJournal` — a SHA-256
   hash-chained, append-only journal with one record per ``pose()``
-  (answered or refused): requester, plan fingerprint, per-source losses,
-  aggregated loss, and the requester's cumulative disclosure
-  ``1 − Π(1 − loss_i)``.  ``verify_chain()`` detects any byte of
-  tampering.
+  (answered or refused): the settled pose record — requester, plan
+  fingerprint, refusal, history entry, losses, released cells — plus
+  the requester's cumulative disclosure ``1 − Π(1 − loss_i)``.  Its
+  canonical bytes are what the write-ahead log writes;
+  ``verify_chain()`` detects any byte of tampering.
 * :class:`~repro.observatory.snooperwatch.SnooperWatch` — per-requester
   ledgers of released aggregates, replayed through
   :mod:`repro.inference.bounds` on a cadence; when a confidential cell's
@@ -105,11 +106,7 @@ class Observatory:
     def record_pose(self, pose):
         """Journal a settled :class:`~repro.mediator.engine.PoseRecord`;
         returns the :class:`JournalRecord`."""
-        return self.journal.append(
-            pose.requester, pose.fingerprint, pose.status,
-            per_source_loss=pose.per_source_loss,
-            aggregated_loss=pose.aggregated_loss, kind=pose.refusal_kind,
-        )
+        return self.journal.append(pose)
 
     def observe_result(self, requester, cells):
         """Fold an answered pose's released cells into the snooper ledger.
@@ -140,18 +137,17 @@ class Observatory:
         the ledger — a crash can leave a publication recorded but
         unfolded (recovery replays it), never folded but forgotten.
         """
+        row_stats = {
+            measure: (stat if isinstance(stat, tuple) else (stat, None))
+            for measure, stat in (row_stats or {}).items()
+        }
         if self.persistence is not None:
-            normalized = {
-                measure: (stat if isinstance(stat, tuple) else (stat, None))
-                for measure, stat in (row_stats or {}).items()
-            }
             self.persistence.record_publication(
-                requester, row_stats=normalized,
+                requester, row_stats=row_stats,
                 source_means=source_means, own_data=own_data,
                 sources=sources, measures=measures,
             )
-        for measure, stat in (row_stats or {}).items():
-            mean, std = stat if isinstance(stat, tuple) else (stat, None)
+        for measure, (mean, std) in row_stats.items():
             self.watch.note_row_stat(requester, measure, mean, std=std,
                                      over=sources)
         for source, mean in (source_means or {}).items():

@@ -6,29 +6,30 @@ because the mediator operator is a party to the protocol — a journal that
 can be silently rewritten proves nothing to a source disputing a
 violation notice.  :class:`AuditJournal` therefore chains every appended
 record to its predecessor with SHA-256: record *n*'s hash covers its own
-canonical payload **and** record *n−1*'s hash, so changing any byte of
+canonical bytes **and** record *n−1*'s hash, so changing any byte of
 any historical record (or deleting/reordering one) breaks every hash
 after it.  ``verify_chain()`` walks the chain from the genesis hash and
 reports the first record that fails to re-verify.
 
 One record is appended per ``MediationEngine.pose()`` — answered *or*
-refused — carrying the requester, the plan fingerprint (tier-1 cache
-identity: canonical PIQL + principal + policy epoch), the per-source
-losses, the aggregated loss, and the requester's cumulative disclosure
-``1 − Π(1 − loss_i)`` over every answered pose so far.  The journal is
-append-only by design: there is deliberately no ``clear()``.
+refused.  Its chained payload is the settled
+:class:`~repro.mediator.engine.PoseRecord` itself — requester, plan
+fingerprint, status, refusal, the history entry charged, the per-source
+and aggregated losses, the released cells and the row counts — plus the
+journal's ``seq``, ``ts`` and the requester's cumulative disclosure
+``1 − Π(1 − loss_i)`` over every answered pose so far.  Only the pose's
+``trace_id`` and ``duration_ms`` stay outside: they describe the run,
+not the disclosure.  The journal is append-only by design: there is
+deliberately no ``clear()``.
 
-Records serialize to JSON Lines (``to_jsonl()``) and re-verify offline
-(:func:`verify_records`), which is what ``python -m repro.telemetry.report
---journal`` does.
-
-Durability contract (:mod:`repro.persistence`): every record's
-``to_dict()`` form — hashes included — is written ahead of answer
-release, and snapshots store the folded prefix verbatim, so the chain
-spans compaction and restart boundaries unbroken.  :meth:`AuditJournal.
-restore` rebuilds a journal from those dicts by *recomputing* every
-hash, making post-recovery ``verify_chain()`` a real re-verification,
-not a replay of stored claims.
+The payload is serialized once, canonically (:func:`canonical`); those
+bytes are what the chain hashes and what the write-ahead log writes
+(:mod:`repro.persistence`), so the journal *is* the log.  Serialized
+records (``{"chained": payload, "hash": ...}``, as the log and
+snapshots store them) re-verify offline with :func:`verify_records`
+(``python -m repro.telemetry.report --journal``, ``python -m
+repro.persistence verify``); :meth:`AuditJournal.restore` re-verifies
+each link once as it rebuilds a journal on recovery.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import hashlib
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PersistenceError, ReproError
 
@@ -49,50 +50,86 @@ STATUS_ANSWERED = "answered"
 STATUS_REFUSED = "refused"
 
 
-def _chain_hash(payload, prev_hash):
-    """SHA-256 over the canonical payload JSON, chained to ``prev_hash``.
+def canonical(payload):
+    """The canonical JSON bytes of a chained payload.
 
-    The payload is serialized with sorted keys and minimal separators so
-    the byte material is deterministic; the previous hash is mixed in
-    ahead of it, which is what links the records into a chain.
+    Sorted keys and minimal separators make the bytes deterministic,
+    and they survive a JSON round trip unchanged, so a payload read
+    back from the log re-serializes to the bytes that were hashed.
     """
-    material = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(
-        (prev_hash + "|" + material).encode("utf-8")
-    ).hexdigest()
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def chain_hash(prev_hash, body):
+    """SHA-256 over ``body`` (canonical bytes), chained to ``prev_hash``."""
+    return hashlib.sha256(f"{prev_hash}|{body}".encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True, slots=True)
 class JournalRecord:
-    """One tamper-evident disclosure record (one ``pose()``)."""
+    """One disclosure record: the chained payload, its canonical bytes
+    (``body``) and the link over the predecessor's hash and ``body``."""
 
-    seq: int
-    ts: float
-    requester: str
-    fingerprint: str
-    status: str
-    kind: str | None                  # refusal kind, None if answered
-    per_source_loss: dict
-    aggregated_loss: float
-    cumulative_loss: float
-    prev_hash: str
-    hash: str = field(init=False)
+    chained: dict
+    body: str
+    hash: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "hash",
-                           _chain_hash(self.payload(), self.prev_hash))
+    @classmethod
+    def link(cls, chained, prev_hash):
+        """Serialize ``chained`` once and chain it after ``prev_hash``."""
+        body = canonical(chained)
+        return cls(chained, body, chain_hash(prev_hash, body))
 
-    def payload(self):
-        """The hashed material: every field but the last two, the hashes."""
-        return {name: getattr(self, name) for name in self.__slots__[:-2]}
+    @property
+    def requester(self):
+        return self.chained["requester"]
+
+    @property
+    def status(self):
+        return self.chained["status"]
+
+    @property
+    def cumulative_loss(self):
+        return self.chained["cumulative_loss"]
 
     def to_dict(self):
-        """JSON-serializable form (payload + chain hashes)."""
-        return {name: getattr(self, name) for name in self.__slots__}
+        """The serialized form the log and snapshots store."""
+        return {"chained": self.chained, "hash": self.hash}
 
     def __repr__(self):
-        return (f"JournalRecord(#{self.seq} {self.requester!r} "
+        return (f"JournalRecord(#{self.chained['seq']} {self.requester!r} "
                 f"{self.status} cum={self.cumulative_loss:.4f})")
+
+
+def _relink(records):
+    """Re-hash serialized records once each, after their predecessors.
+
+    Returns ``(rebuilt, first_bad_seq)``: the :class:`JournalRecord` s
+    before the first record with no payload or a hash that fails to
+    re-verify, and that record's seq (else its position), or ``None``.
+    """
+    rebuilt, prev = [], GENESIS_HASH
+    for position, record in enumerate(records, start=1):
+        chained = record.get("chained")
+        if not isinstance(chained, dict):
+            return rebuilt, position
+        entry = JournalRecord.link(chained, prev)
+        if entry.hash != record.get("hash"):
+            return rebuilt, chained.get("seq", position)
+        rebuilt.append(entry)
+        prev = entry.hash
+    return rebuilt, None
+
+
+def verify_records(records):
+    """Verify serialized journal records (dicts) against the hash chain.
+
+    Returns ``(True, None)`` or ``(False, first_bad_seq)``; a record
+    missing its payload or hash counts as tampered.  Other keys (a log
+    record's envelope) are not covered.
+    """
+    _, bad_seq = _relink(records)
+    return bad_seq is None, bad_seq
 
 
 class AuditJournal:
@@ -109,36 +146,27 @@ class AuditJournal:
         self._clock = clock
         self._cumulative = {}  # requester → 1 − Π(1 − loss_i) so far
 
-    def append(self, requester, fingerprint, status,
-               per_source_loss=None, aggregated_loss=0.0, kind=None):
-        """Append one record; returns the :class:`JournalRecord`.
+    def append(self, pose):
+        """Journal one settled pose; returns the :class:`JournalRecord`.
 
+        ``pose`` is a :class:`~repro.mediator.engine.PoseRecord`.
         Answered poses compound the requester's cumulative disclosure
         (``cum' = 1 − (1 − cum)(1 − loss)``); refused poses disclose
         nothing and carry the unchanged cumulative value, so the journal
         still shows *when* the requester was stopped.
         """
-        if status not in (STATUS_ANSWERED, STATUS_REFUSED):
-            raise ReproError(f"unknown journal status {status!r}")
+        if pose.status not in (STATUS_ANSWERED, STATUS_REFUSED):
+            raise ReproError(f"unknown journal status {pose.status!r}")
         with self._lock:
-            before = self._cumulative.get(requester, 0.0)
-            if status == STATUS_ANSWERED:
-                cumulative = 1.0 - (1.0 - before) * (1.0 - aggregated_loss)
-                self._cumulative[requester] = cumulative
-            else:
-                cumulative = before
-            record = JournalRecord(
-                seq=len(self._records) + 1,
-                ts=self._clock(),
-                requester=requester,
-                fingerprint=fingerprint,
-                status=status,
-                kind=kind,
-                per_source_loss=dict(per_source_loss or {}),
-                aggregated_loss=float(aggregated_loss),
-                cumulative_loss=cumulative,
-                prev_hash=(self._records[-1].hash if self._records
-                           else GENESIS_HASH),
+            cumulative = self._cumulative.get(pose.requester, 0.0)
+            if pose.status == STATUS_ANSWERED:
+                cumulative = 1.0 - (1.0 - cumulative) * (
+                    1.0 - pose.aggregated_loss)
+                self._cumulative[pose.requester] = cumulative
+            record = JournalRecord.link(
+                pose.chained(seq=len(self._records) + 1, ts=self._clock(),
+                             cumulative_loss=cumulative),
+                self._records[-1].hash if self._records else GENESIS_HASH,
             )
             self._records.append(record)
             return record
@@ -146,46 +174,34 @@ class AuditJournal:
     def restore(self, records):
         """Rebuild the journal from serialized records (recovery path).
 
-        Durability contract: each record is reconstructed from its
-        payload and ``prev_hash``, which *recomputes* every sha256 link
-        — a single damaged byte anywhere in the stored chain surfaces
-        as a :class:`~repro.errors.PersistenceError` here, never as a
-        silently divergent journal.  Restoring also rebuilds the
-        per-requester cumulative-disclosure accumulators, so
-        ``cumulative_loss()`` continues compounding exactly where the
-        pre-crash process stopped.  Only valid on an empty journal.
+        Each record is re-hashed once, after its predecessor; a single
+        damaged byte anywhere in the stored chain raises
+        :class:`~repro.errors.PersistenceError` naming the first bad
+        seq and restores nothing.  The cumulative-disclosure
+        accumulators are rebuilt too, so ``cumulative_loss()`` keeps
+        compounding where the pre-crash process stopped.  Only valid on
+        an empty journal.
         """
+        rebuilt, bad_seq = _relink(records)
+        if bad_seq is not None:
+            raise PersistenceError(
+                f"audit journal chain fails verification at seq {bad_seq}; "
+                "refusing to recover on top of tampered or damaged "
+                "accounting"
+            )
         with self._lock:
             if self._records:
                 raise PersistenceError(
                     "cannot restore into a non-empty AuditJournal "
                     f"({len(self._records)} live records)"
                 )
-            prev = GENESIS_HASH
-            for data in records:
-                record = JournalRecord(
-                    seq=data["seq"], ts=data["ts"],
-                    requester=data["requester"],
-                    fingerprint=data["fingerprint"],
-                    status=data["status"], kind=data["kind"],
-                    per_source_loss=dict(data["per_source_loss"]),
-                    aggregated_loss=data["aggregated_loss"],
-                    cumulative_loss=data["cumulative_loss"],
-                    prev_hash=prev,
-                )
-                if (record.hash != data.get("hash")
-                        or data.get("prev_hash") != prev):
-                    raise PersistenceError(
-                        f"journal restore: record seq {data.get('seq')} "
-                        "fails hash-chain verification"
-                    )
-                self._records.append(record)
+            self._records = rebuilt
+            for record in rebuilt:
                 if record.status == STATUS_ANSWERED:
                     self._cumulative[record.requester] = (
                         record.cumulative_loss
                     )
-                prev = record.hash
-            return list(self._records)
+            return list(rebuilt)
 
     # -- reading -----------------------------------------------------------
 
@@ -219,11 +235,11 @@ class AuditJournal:
     # -- verification ------------------------------------------------------
 
     def verify_chain(self):
-        """Re-verify every record against the chain.
+        """Re-verify every record, re-serializing each payload.
 
         Returns ``(True, None)`` when the chain is intact, else
-        ``(False, seq)`` where ``seq`` is the first record whose hash or
-        linkage fails to re-verify.
+        ``(False, seq)`` where ``seq`` is the first record whose hash
+        or linkage fails to re-verify.
         """
         return verify_records([r.to_dict() for r in self.records()])
 
@@ -244,24 +260,3 @@ class AuditJournal:
 
     def __repr__(self):
         return f"AuditJournal(n={len(self)})"
-
-
-def verify_records(records):
-    """Verify serialized journal records (dicts) against the hash chain.
-
-    The offline counterpart of :meth:`AuditJournal.verify_chain` — used
-    by ``python -m repro.telemetry.report --journal`` on a dumped file.
-    Returns ``(True, None)`` or ``(False, first_bad_seq)``; a record
-    missing its hash fields counts as tampered.
-    """
-    prev = GENESIS_HASH
-    for position, record in enumerate(records, start=1):
-        seq = record.get("seq", position)
-        payload = {k: v for k, v in record.items()
-                   if k not in ("hash", "prev_hash")}
-        if record.get("prev_hash") != prev:
-            return False, seq
-        if record.get("hash") != _chain_hash(payload, prev):
-            return False, seq
-        prev = record["hash"]
-    return True, None

@@ -146,8 +146,6 @@ class SnooperWatch:
     def _ledger(self, requester):
         ledger = self._knowledge.get(requester)
         if ledger is None:
-            # repro-lint: disable=REP001 -- every caller (note_cell,
-            # note_row_stat, note_source_mean) already holds self._lock.
             ledger = self._knowledge.setdefault(requester, _Knowledge())
         return ledger
 

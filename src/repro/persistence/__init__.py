@@ -8,21 +8,20 @@ the hash-chained audit journal, SnooperWatch knowledge, cache epochs —
 behind a write-ahead log:
 
 * :class:`PersistenceSink` — the engine-facing front.  One record per
-  pose — the flat fields of the engine's
-  :class:`~repro.mediator.engine.PoseRecord` (requester, fingerprint,
-  status, refusal, history delta, losses, released cells) plus the
-  journal record's chain fields under ``journal`` — appended durably
-  **before** anything else learns of the pose; plus records for
-  out-of-band publications and epoch bumps.  Periodically folds the log
-  into a snapshot and compacts.
+  pose — the audit journal's chained bytes under ``chained`` verbatim
+  (see :mod:`repro.observatory.journal`) beside an unhashed envelope:
+  ``kind``, the log's ``seq``, ``trace_id``, ``duration_ms``, ``hash``
+  — appended durably **before** anything else learns of the pose; plus
+  records for out-of-band publications and epoch bumps.  Periodically
+  folds the log into a snapshot and compacts.
 * backends — :class:`~repro.persistence.wal.WalBackend` (append-only
   JSONL + snapshot file, the one disk store) and
   :class:`~repro.persistence.base.MemoryBackend` (tests).  Select via
   ``PrivateIye(persistence=...)``; the default ``None`` keeps today's
   in-memory behavior byte for byte.
 * :func:`~repro.persistence.recovery.recover` — replays snapshot + log
-  into a freshly built system, re-verifying the journal's sha256 chain
-  across the restart boundary.
+  into a freshly built system, re-verifying each link of the journal's
+  sha256 chain once, across the snapshot and restart boundaries.
 
 The write-ahead discipline means a crash can leave a pose *charged but
 unreleased* — the conservative direction — and never the reverse; see
@@ -34,14 +33,15 @@ from __future__ import annotations
 
 import contextlib
 import threading
+from json.encoder import encode_basestring_ascii
 
 from repro.errors import PersistenceError
+from repro.observatory.journal import canonical
 from repro.persistence.base import MemoryBackend, PersistenceBackend
 from repro.persistence.snapshot import capture_state
 from repro.persistence.wal import WalBackend
 
 __all__ = [
-    "CHAIN_FIELDS",
     "KIND_EPOCH",
     "KIND_POSE",
     "KIND_PUBLICATION",
@@ -56,10 +56,6 @@ __all__ = [
 KIND_POSE = "pose"
 KIND_PUBLICATION = "publication"
 KIND_EPOCH = "epoch"
-
-#: What a pose record keeps of its journal record under ``journal``;
-#: the rest of the hashed payload is the pose record's own fields.
-CHAIN_FIELDS = ("seq", "ts", "cumulative_loss", "prev_hash", "hash")
 
 #: Default compaction floor (records between the first snapshots).
 DEFAULT_SNAPSHOT_EVERY = 256
@@ -126,17 +122,20 @@ class PersistenceSink:
         """Durably append one settled pose; returns its seq.
 
         ``pose`` is the engine's :class:`~repro.mediator.engine.
-        PoseRecord`, ``journal`` its journal record (``None`` without an
-        observatory).  Nothing else learns of the pose before this
-        returns — the write-ahead point.
+        PoseRecord`, ``journal`` its journal record, whose bytes the
+        line carries verbatim (``None`` without an observatory: the
+        same line, chain fields null).  Nothing else learns of the pose
+        before this returns — the write-ahead point.
         """
-        record = pose.to_dict()
-        record["journal"] = (
-            None if journal is None
-            else {name: getattr(journal, name) for name in CHAIN_FIELDS}
-        )
-        record["kind"] = KIND_POSE
-        return self._append(record)
+        if journal is None:
+            chained = pose.chained()
+            body, digest = canonical(chained), None
+        else:
+            chained, body, digest = journal.chained, journal.body, journal.hash
+        return self._append({
+            "chained": chained, "duration_ms": pose.duration_ms,
+            "hash": digest, "kind": KIND_POSE, "trace_id": pose.trace_id,
+        }, body)
 
     def record_publication(self, requester, row_stats=None,
                            source_means=None, own_data=None, sources=None,
@@ -221,20 +220,23 @@ class PersistenceSink:
 
     # -- internals -----------------------------------------------------------
 
-    def _append(self, record):
+    def _append(self, record, body=None):
         """Assign a seq, durably append, run the crash hook, maybe compact.
 
-        The crash hook runs after the append (the record is already
-        durable) and before control returns (the answer is not yet
-        released) — a hook that raises simulates a crash in exactly the
-        window the write-ahead discipline protects.
+        ``body`` is a pose record's chained bytes.  The crash hook runs
+        after the append (the record is already durable) and before
+        control returns (the answer is not yet released) — a hook that
+        raises simulates a crash in exactly the window the write-ahead
+        discipline protects.
         """
         if self._suspended:
             return None
         with self._lock:
             self._seq += 1
             record["seq"] = self._seq
-            self.backend.append(record)
+            self.backend.append(
+                record, None if body is None else _pose_line(record, body)
+            )
             seq = self._seq
             self._since_compact += 1
             if self.crash_hook is not None:
@@ -257,13 +259,25 @@ class PersistenceSink:
         """
         state = self.state_provider()
         self.backend.compact(state, self._seq)
-        # repro-lint: disable=REP001 -- caller holds self._lock
         self._since_compact, self._folded = 0, self._seq
         return self._seq
 
     def __repr__(self):
         return (f"PersistenceSink({self.backend!r}, "
                 f"seq={self._seq})")
+
+
+def _pose_line(record, body):
+    """A pose record's log line around its chained ``body``: byte for
+    byte the record's canonical serialization, with no JSON encoder run
+    but the escaping of the hash and trace id."""
+    digest, trace_id = (
+        "null" if value is None else encode_basestring_ascii(value)
+        for value in (record["hash"], record["trace_id"])
+    )
+    return (f'{{"chained":{body},"duration_ms":{record["duration_ms"]!r},'
+            f'"hash":{digest},"kind":"{KIND_POSE}","seq":{record["seq"]},'
+            f'"trace_id":{trace_id}}}')
 
 
 def resolve_persistence(persistence):

@@ -40,10 +40,12 @@ class PersistenceBackend(abc.ABC):
     name = "backend"
 
     @abc.abstractmethod
-    def append(self, record):
+    def append(self, record, line=None):
         """Durably append one record dict; returns its ``seq``.
 
-        Must not return until the record would survive a crash.  Raises
+        ``line``, if given, is ``record`` serialized canonically; a
+        backend that writes text writes it as is.  Must not return until
+        the record would survive a crash.  Raises
         :class:`~repro.errors.PersistenceError` if the record cannot be
         made durable — the caller treats that as a failed pose, never a
         silently-lost one.
@@ -110,7 +112,7 @@ class MemoryBackend(PersistenceBackend):
         self._log = []
         self._last_seq = 0
 
-    def append(self, record):
+    def append(self, record, line=None):
         """Append to the in-object log; durable only as long as the object."""
         seq = int(record["seq"])
         self._log.append(dict(record))

@@ -3,10 +3,10 @@
 Two subcommands, both offline (they open an existing WAL store and
 never need a running mediator):
 
-* ``verify PATH`` — load snapshot + log, reconstitute the audit-journal
-  chain across the snapshot boundary, and re-verify every sha256 link.
-  Exit 0 when the chain holds, 1 when it does not — the runbook's
-  post-recovery check.
+* ``verify PATH`` — load snapshot + log and re-verify every sha256
+  link of the audit-journal chain, snapshot head and log tail alike.
+  Exit 0 when the chain holds, 1 when it does not or a pose record is
+  in no layout this build reads — the runbook's post-recovery check.
 * ``stats PATH`` — backend counters (log length, snapshot presence,
   last seq) as JSON.
 
@@ -24,7 +24,7 @@ import sys
 from repro.errors import PersistenceError
 from repro.observatory.journal import verify_records
 from repro.persistence import PersistenceSink
-from repro.persistence.recovery import journal_dicts_from
+from repro.persistence.recovery import chain_of
 from repro.persistence.wal import LOG_NAME, SNAPSHOT_NAME, WalBackend
 
 
@@ -42,7 +42,7 @@ def verify_store(path):
     sink = open_sink(path)
     try:
         snapshot, records = sink.load()
-        chain = journal_dicts_from(snapshot, records)
+        chain = chain_of(snapshot, records)
         ok, bad_seq = verify_records(chain)
         return {
             "path": str(path),

@@ -6,14 +6,14 @@ The restart protocol: rebuild the system exactly as at first boot
 :func:`recover` then
 
 1. loads the backend's ``(snapshot, records)``;
-2. restores :class:`~repro.mediator.history.MediatorHistory` from the
-   snapshot entries plus each logged pose's history delta — the
-   SequenceGuard needs nothing else, so **a refusal that was final
+2. walks the audit journal's sha256 chain once — snapshot head, then
+   each logged pose record — restoring the journal and the
+   per-requester cumulative disclosure ``1 − Π(1 − loss_i)``; a chain
+   break raises before any other state is restored;
+3. restores :class:`~repro.mediator.history.MediatorHistory` from the
+   snapshot entries plus each logged pose's (chained) history entry —
+   the SequenceGuard needs nothing else, so **a refusal that was final
    before the crash is final after it**;
-3. re-verifies the audit journal's sha256 chain across the restart
-   boundary (snapshot head + log tail form one chain) and restores it,
-   which also restores the per-requester cumulative disclosure
-   ``1 − Π(1 − loss_i)``;
 4. rebuilds each requester's SnooperWatch ledger (snapshot knowledge +
    logged cells/publications) and replays a check pass — alerts
    deliberately re-fire after a restart (at-least-once alerting:
@@ -35,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import PersistenceError
-from repro.observatory.journal import verify_records
-from repro.persistence import CHAIN_FIELDS, KIND_EPOCH, KIND_POSE, KIND_PUBLICATION
+from repro.observatory.journal import AuditJournal
+from repro.persistence import KIND_EPOCH, KIND_POSE, KIND_PUBLICATION
 from repro.persistence.snapshot import validate_state
 
 
@@ -67,32 +67,25 @@ class RecoveryReport:
                 f"alerts={len(self.alerts)})")
 
 
-def journal_dicts_from(snapshot, records):
-    """The full journal chain: snapshot head + logged pose tails.
-
-    Snapshots store journal records verbatim.  A logged pose keeps only
-    the journal's chain fields (older stores: the whole record); the
-    rest is rebuilt from the pose record's own fields, which the chain
-    therefore covers.  :func:`~repro.observatory.journal.verify_records`
-    walks the result from the genesis hash, across the snapshot
-    boundary and the restart.
+def chain_of(snapshot, records):
+    """The journal chain a store holds: the snapshot's journal records,
+    then each logged pose record a journal kept (``hash`` set), one
+    shape throughout.  A pose record with no ``chained`` payload is in
+    no layout this build writes; it raises, naming its seq.
     """
     state = snapshot["state"] if snapshot else {}
     chain = list(state.get("journal") or [])
     for record in records:
-        link = record.get("journal")
-        if record.get("kind") != KIND_POSE or not link:
+        if record.get("kind") != KIND_POSE:
             continue
-        chained = {name: link[name] for name in CHAIN_FIELDS}
-        chained.update(
-            requester=record["requester"],
-            fingerprint=record["fingerprint"],
-            status=record["status"],
-            kind=record.get("refusal_kind"),
-            per_source_loss=record.get("per_source_loss") or {},
-            aggregated_loss=float(record.get("aggregated_loss", 0.0)),
-        )
-        chain.append(chained)
+        if not isinstance(record.get("chained"), dict):
+            raise PersistenceError(
+                f"pose record seq {record.get('seq')} has no chained "
+                "payload: the store predates this layout or is damaged; "
+                "refusing to recover from it"
+            )
+        if record.get("hash") is not None:
+            chain.append(record)
     return chain
 
 
@@ -113,27 +106,21 @@ def recover(engine):
         )
     snapshot, records = sink.load()
     state = validate_state(snapshot["state"]) if snapshot else {}
-
-    chain = journal_dicts_from(snapshot, records)
-    ok, bad_seq = verify_records(chain)
-    if not ok:
-        raise PersistenceError(
-            f"audit journal chain fails verification at seq {bad_seq}; "
-            "refusing to recover on top of tampered or damaged accounting"
-        )
-
+    chain = chain_of(snapshot, records)
     entries = list(state.get("history", {}).get("entries", []))
-    pose_records = [r for r in records if r.get("kind") == KIND_POSE]
-    for record in pose_records:
-        if record.get("history"):
-            entries.append(record["history"])
+    for record in records:
+        if record.get("kind") == KIND_POSE and record["chained"]["history"]:
+            entries.append(record["chained"]["history"])
 
     observatory = engine.observatory
+    # Without an observatory the chain is still verified, into a
+    # journal that is then dropped.
+    journal = (observatory.journal if observatory is not None
+               else AuditJournal())
     with sink.suspended():
+        journal.restore(chain)
         engine.history.restore(entries)
         if observatory is not None:
-            if chain:
-                observatory.journal.restore(chain)
             _restore_watch(observatory.watch, state, records)
         if engine.cache is not None:
             _restore_cache(engine.cache, state, records, engine.history)
@@ -143,10 +130,7 @@ def recover(engine):
         for requester in observatory.watch.requesters():
             alerts.extend(observatory.watch.check(requester))
 
-    cumulative = {}
-    for record in chain:
-        if record.get("status") == "answered":
-            cumulative[record["requester"]] = record["cumulative_loss"]
+    cumulative = journal.requesters()
     return RecoveryReport(
         backend=sink.backend.name,
         snapshot_through_seq=snapshot["through_seq"] if snapshot else 0,
@@ -175,16 +159,17 @@ def _restore_watch(watch, state, records):
     if watch_state:
         watch.restore_state(watch_state)
     for record in records:
-        kind = record.get("kind")
-        requester = record.get("requester")
-        if kind == KIND_POSE and record.get("status") == "answered":
-            for measure, source, value in record.get("cells") or ():
+        kind, pose = record.get("kind"), record.get("chained")
+        if kind == KIND_POSE and pose["status"] == "answered":
+            requester = pose["requester"]
+            for measure, source, value in pose["cells"]:
                 watch.note_cell(requester, measure, source, value)
-            if record.get("journal"):  # an observatory saw the pose
+            if record["hash"] is not None:  # an observatory saw the pose
                 watch.absorb_poses({requester: 1})
         elif kind == KIND_PUBLICATION:
-            for measure, stat in (record.get("row_stats") or {}).items():
-                mean, std = stat
+            requester = record["requester"]
+            for measure, (mean, std) in (record.get("row_stats")
+                                         or {}).items():
                 watch.note_row_stat(requester, measure, mean, std=std,
                                     over=record.get("sources"))
             for source, mean in (record.get("source_means") or {}).items():

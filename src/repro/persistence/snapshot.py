@@ -11,9 +11,9 @@ what keeps this module importable below the mediator layer):
   (the SequenceGuard derives all its state from these);
 * ``epochs`` — the cache's epoch counters (floor-restored, so caches
   can only over-invalidate after a crash, never under-invalidate);
-* ``journal`` — the audit-journal records **verbatim, hashes
-  included**, so the chain re-verifies across the snapshot boundary
-  exactly as it does across records;
+* ``journal`` — the audit-journal records, each its chained payload
+  and hash (a logged pose record minus its envelope), so one walk
+  re-verifies the chain across the snapshot boundary;
 * ``watch`` — each requester's SnooperWatch knowledge ledger plus the
   pose cadence counters.
 

@@ -92,12 +92,13 @@ class WalBackend(PersistenceBackend):
                 f"cannot open wal store {self.directory}: {error}"
             ) from error
 
-    def append(self, record):
+    def append(self, record, line=None):
         """Append one JSONL line; returns after flush+fsync (durable)."""
-        line = _dump(record) + "\n"
+        if line is None:
+            line = _dump(record)
         with self._lock:
             try:
-                self._handle.write(line)
+                self._handle.write(line + "\n")
                 self._handle.flush()
                 if self.fsync:
                     os.fsync(self._handle.fileno())
@@ -227,7 +228,6 @@ class WalBackend(PersistenceBackend):
                     # A torn final line is the signature of a crash
                     # mid-append: the write never returned, so nothing
                     # downstream of it was released.  Safe to drop.
-                    # repro-lint: disable=REP001 -- load() holds self._lock
                     self._torn_tail_dropped += 1
                     break
                 raise PersistenceError(
@@ -240,7 +240,6 @@ class WalBackend(PersistenceBackend):
                     f"{position + 1}: missing seq"
                 )
             records.append(record)
-        # repro-lint: disable=REP001 -- every caller holds self._lock
         self._log_last_seq = max((r["seq"] for r in records), default=0)
         return records
 

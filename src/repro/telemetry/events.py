@@ -247,7 +247,7 @@ class JsonlSink:
                     handle.flush()
                     return
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
-                # repro-lint: disable=REP001,REP011 -- only the single
+                # repro-lint: disable=REP011 -- only the single
                 # writer thread mutates `written`; cross-thread reads
                 # are advisory (repr, tests poll after close()).
                 self.written += 1
@@ -258,7 +258,7 @@ class JsonlSink:
         """Stop accepting events, flush the queue, join the writer."""
         if self._closed:
             return
-        # repro-lint: disable=REP001,REP011 -- benign single-flag race:
+        # repro-lint: disable=REP011 -- benign single-flag race:
         # a concurrent offer() at worst enqueues before the blocking
         # _CLOSE sentinel below, which still flushes it.
         self._closed = True

@@ -31,6 +31,7 @@ allocates no report state at all.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 
 from repro.query.language import to_piql
@@ -54,7 +55,7 @@ class ExplainReport:
         self.dispatch = None           # fan-out summary (mode, breakers)
         self.integration = None        # {"rows", "duplicates_removed"}
         self.control = None            # aggregated loss vs MAXLOSS + notices
-        self.audit = None              # disclosure journal record (dict)
+        self.audit = None              # disclosure JournalRecord
         self.events = None             # events emitted during this pose
         self.validation = None         # measured residual risk (zoo runs)
         self.duration_ms = None
@@ -175,8 +176,9 @@ class ExplainReport:
         """Close the ledger from the settled pose.
 
         ``pose`` is the engine's :class:`~repro.mediator.engine.
-        PoseRecord`; ``audit`` its journal record (kept with its chain
-        hashes, so a report can be checked against the journal later);
+        PoseRecord`; ``audit`` its journal record (exported with its
+        chained payload and hash, so a report can be checked against
+        the journal later);
         ``events`` those emitted while the pose ran and settled.
         """
         self.status = pose.status
@@ -189,7 +191,7 @@ class ExplainReport:
                 "rows": pose.rows,
                 "duplicates_removed": pose.duplicates_removed,
             }
-        self.audit = audit.to_dict() if audit is not None else None
+        self.audit = audit
         self.events = [e.to_dict() for e in events]
 
     # -- reading -----------------------------------------------------------
@@ -198,6 +200,9 @@ class ExplainReport:
         """Plain-dict form of the full ledger (JSON-serializable)."""
         document = dict(vars(self))
         document["sources"] = dict(self.sources)
+        # a copy: editing an exported ledger must not edit the journal
+        document["audit"] = (copy.deepcopy(self.audit.to_dict())
+                             if self.audit is not None else None)
         return document
 
     def refusing_sources(self):

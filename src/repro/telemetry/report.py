@@ -106,11 +106,12 @@ def summarize(events, journal_records=None):
 
     # the journal is authoritative for disclosure when supplied
     for record in journal_records or ():
-        requester = record.get("requester")
+        chained = record.get("chained") or {}
+        requester = chained.get("requester")
         if requester is None:
             continue
         entry = row(requester)
-        cumulative = record.get("cumulative_loss")
+        cumulative = chained.get("cumulative_loss")
         if cumulative is not None:
             entry["cumulative_disclosure"] = max(
                 entry["cumulative_disclosure"], float(cumulative)

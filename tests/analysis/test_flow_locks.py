@@ -252,3 +252,113 @@ class TestSharedStateMap:
         site = attr["mutation_sites"][1]
         assert site["locks_held"] == ["_lock"]
         assert site["kind"] == "augassign"
+
+
+#: The per-method lock cases the per-file linter once checked, kept as
+#: lockset inputs: three unguarded mutations (lines 14, 17, 20), two
+#: guarded ones, a local list, and a class that owns no lock.
+PER_METHOD_CASES = '''"""Shared state mutated outside the owning lock."""
+
+import threading
+
+
+class Registry:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._items = {}
+        self._count = 0
+        self._order = []
+
+    def record(self, key, value):
+        self._items[key] = value
+
+    def bump(self):
+        self._count += 1
+
+    def drop(self, key):
+        self._items.pop(key, None)
+
+    def safe_record(self, key, value):
+        with self._lock:
+            self._items[key] = value
+            self._order.append(key)
+
+    def safe_nested(self, key):
+        with self._lock:
+            if key not in self._items:
+                self._order.append(key)
+
+    def local_state_is_fine(self):
+        seen = []
+        seen.append("x")
+        return seen
+
+
+class Lockless:
+    def __init__(self):
+        self.items = {}
+
+    def record(self, key, value):
+        self.items[key] = value  # no lock owned: nothing to check
+'''
+
+
+class TestPerMethodCases:
+    def test_unguarded_mutations_flag_at_their_lines(self, tmp_path):
+        path = tmp_path / "registry.py"
+        path.write_text(PER_METHOD_CASES)
+        analysis = analyze_locks([path])
+        assert [(f.code, f.line) for f in analysis.findings] == [
+            ("REP011", 14), ("REP011", 17), ("REP011", 20),
+        ]
+
+
+class TestForeignReceivers:
+    SOURCE = """
+        import collections
+
+
+        class Slot:
+            def __init__(self):
+                self.pending = collections.deque()
+                self.running = 0
+
+
+        class Scratch:
+            def __init__(self):
+                self.notes = []
+
+
+        class Pool:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def submit(self, slot, item):
+                with self._lock:
+                    slot.pending.append(item)
+                    slot.running += 1
+
+            def finish(self, slot):
+                with self._lock:
+                    slot.running -= 1
+
+            def cancel(self, slot):
+                slot.pending.clear()
+
+            def scribble(self, scratch):
+                scratch.notes.append(1)
+    """
+
+    def test_another_objects_state_is_guarded_by_the_mutating_lock(
+            self, tmp_path):
+        analysis = analyze(tmp_path, self.SOURCE)
+        doc = analysis.shared_state_map()
+        slot = doc["classes"]["mod.Slot"]
+        assert slot["locks"] == ["Pool._lock"]
+        assert slot["attributes"]["running"]["guarding_lock"] == "Pool._lock"
+        assert slot["attributes"]["running"]["consistent"] is True
+        assert slot["attributes"]["pending"]["consistent"] is False
+        # never mutated under a lock: not shared state, not in the map
+        assert "mod.Scratch" not in doc["classes"]
+        (finding,) = analysis.findings
+        assert "Pool.cancel mutates Slot.pending" in finding.message

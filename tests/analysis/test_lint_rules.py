@@ -146,13 +146,13 @@ class TestRep013Scoping:
 class TestFramework:
     def test_rule_catalog(self):
         codes = [lint_rule.code for lint_rule in all_rules()]
-        assert codes == ["REP001", "REP002", "REP003", "REP004",
-                         "REP005", "REP006", "REP007", "REP008",
-                         "REP009", "REP012", "REP013"]
+        assert codes == ["REP002", "REP003", "REP004", "REP005",
+                         "REP006", "REP007", "REP008", "REP009",
+                         "REP012", "REP013"]
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ReproError, match="duplicate"):
-            rule("REP001", "again")(lambda context: iter(()))
+            rule("REP002", "again")(lambda context: iter(()))
 
     def test_select_filters_rules(self):
         path = GOLDEN / "rep006.py"
@@ -213,5 +213,5 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("REP001", "REP006"):
+        for code in ("REP002", "REP006"):
             assert code in out

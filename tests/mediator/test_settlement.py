@@ -57,7 +57,7 @@ class TestEventFollowsTheWriteAheadPoint:
                     event.name
                     for event in system.telemetry.events.events(name="pose")
                     if event.attributes["fingerprint"]
-                    == record["fingerprint"]
+                    == record["chained"]["fingerprint"]
                 ])
 
         system = build_system(
@@ -91,36 +91,37 @@ class TestProjectionsAgree:
         for index, (status, kind) in enumerate(outcomes):
             ledger, event = ledgers[index], events[index].attributes
             audit, record = journal[index], wal[index]
+            chained = audit.chained
             trace_id = roots[index].trace_id
 
+            # the WAL record carries the journal's chained payload itself
+            assert record["chained"] == chained
+            assert record["hash"] == audit.hash
+            assert ledger.audit is audit
+            assert ledger.to_dict()["audit"] == audit.to_dict()
             assert (ledger.requester == event["requester"]
-                    == audit.requester == record["requester"])
+                    == chained["requester"])
             assert (ledger.cache["fingerprint"] == event["fingerprint"]
-                    == audit.fingerprint == record["fingerprint"])
-            assert (ledger.status == audit.status == record["status"]
-                    == status)
+                    == chained["fingerprint"])
+            assert ledger.status == chained["status"] == status
             assert events[index].name == f"pose.{status}"
             assert event["trace_id"] == record["trace_id"] == trace_id
-            assert audit.kind == record["refusal_kind"] == kind
-            assert ledger.audit == audit.to_dict()
-            assert record["journal"]["hash"] == audit.hash
-            assert audit.per_source_loss == record["per_source_loss"]
-            assert audit.aggregated_loss == record["aggregated_loss"]
+            assert chained["refusal_kind"] == kind
             if status == "answered":
-                assert event["aggregated_loss"] == audit.aggregated_loss
+                assert event["aggregated_loss"] == chained["aggregated_loss"]
                 assert event["cumulative_loss"] == audit.cumulative_loss
                 assert (ledger.control["per_source_loss"]
-                        == audit.per_source_loss)
+                        == chained["per_source_loss"])
                 assert event["rows"] == ledger.integration["rows"]
-                assert record["rows"] == event["rows"]
+                assert chained["rows"] == event["rows"]
                 assert ledger.refusal is None
             else:
                 assert event["kind"] == ledger.refusal["kind"] == kind
                 assert event["reason"] == ledger.refusal["reason"]
-                assert record["refusal_reason"] == event["reason"]
-                assert audit.aggregated_loss == 0.0
-                assert audit.per_source_loss == {}
-                assert record["cells"] == []
+                assert chained["refusal_reason"] == event["reason"]
+                assert chained["aggregated_loss"] == 0.0
+                assert chained["per_source_loss"] == {}
+                assert chained["cells"] == []
             # the ledger's events window holds this pose's own event
             assert events[index].to_dict() in ledger.events
 

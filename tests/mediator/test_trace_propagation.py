@@ -42,9 +42,9 @@ class ThreadRecordingBackend(MemoryBackend):
         super().__init__()
         self.append_threads = []
 
-    def append(self, record):
+    def append(self, record, line=None):
         self.append_threads.append(threading.current_thread().name)
-        return super().append(record)
+        return super().append(record, line)
 
 
 def build_system(backend):
@@ -125,8 +125,8 @@ class TestOneTraceIdAcrossThreads:
                             "mediator.pose")
         assert len(poses) == 1
         _, records = backend.load()
-        refused = [r for r in records
-                   if r.get("kind") == "pose" and r.get("status") == "refused"]
+        refused = [r for r in records if r.get("kind") == "pose"
+                   and r["chained"]["status"] == "refused"]
         assert len(refused) == 1
-        assert refused[0]["requester"] == "snoop"
+        assert refused[0]["chained"]["requester"] == "snoop"
         assert refused[0]["trace_id"] == poses[0].trace_id

@@ -5,40 +5,54 @@ import json
 import pytest
 
 from repro.errors import ReproError
+from repro.mediator.engine import PoseRecord
 from repro.observatory.journal import (
     GENESIS_HASH,
     AuditJournal,
-    _chain_hash,
+    canonical,
+    chain_hash,
     verify_records,
 )
+
+
+def pose_record(requester, fingerprint, status, per_source_loss=None,
+                aggregated_loss=0.0, kind=None):
+    """A settled pose with the given outcome and losses, nothing else."""
+    return PoseRecord(requester, fingerprint, status, kind, None, None,
+                      None, dict(per_source_loss or {}), aggregated_loss,
+                      (), 0, 0, 0.0)
 
 
 def filled_journal():
     """Three answered poses by two requesters plus one refusal."""
     journal = AuditJournal(clock=lambda: 1000.0)
-    journal.append("epi", "fp-1", "answered",
-                   per_source_loss={"clinic": 0.2, "lab": 0.3},
-                   aggregated_loss=0.3)
-    journal.append("epi", "fp-2", "answered", aggregated_loss=0.1)
-    journal.append("bob", "fp-3", "answered", aggregated_loss=0.5)
-    journal.append("epi", "fp-4", "refused", kind="PrivacyViolation")
+    journal.append(pose_record("epi", "fp-1", "answered",
+                               per_source_loss={"clinic": 0.2, "lab": 0.3},
+                               aggregated_loss=0.3))
+    journal.append(pose_record("epi", "fp-2", "answered",
+                               aggregated_loss=0.1))
+    journal.append(pose_record("bob", "fp-3", "answered",
+                               aggregated_loss=0.5))
+    journal.append(pose_record("epi", "fp-4", "refused",
+                               kind="PrivacyViolation"))
     return journal
 
 
 class TestChaining:
     def test_first_record_links_to_genesis(self):
         journal = AuditJournal()
-        record = journal.append("epi", "fp", "answered", aggregated_loss=0.1)
-        assert record.prev_hash == GENESIS_HASH
-        assert record.hash == _chain_hash(record.payload(), GENESIS_HASH)
-        assert record.seq == 1
+        record = journal.append(pose_record("epi", "fp", "answered",
+                                            aggregated_loss=0.1))
+        assert record.body == canonical(record.chained)
+        assert record.hash == chain_hash(GENESIS_HASH, record.body)
+        assert record.chained["seq"] == 1
 
     def test_each_record_links_to_its_predecessor(self):
         journal = filled_journal()
         records = journal.records()
-        assert [r.seq for r in records] == [1, 2, 3, 4]
+        assert [r.chained["seq"] for r in records] == [1, 2, 3, 4]
         for previous, record in zip(records, records[1:]):
-            assert record.prev_hash == previous.hash
+            assert record.hash == chain_hash(previous.hash, record.body)
 
     def test_intact_chain_verifies(self):
         assert filled_journal().verify_chain() == (True, None)
@@ -46,7 +60,7 @@ class TestChaining:
 
     def test_unknown_status_rejected(self):
         with pytest.raises(ReproError, match="unknown journal status"):
-            AuditJournal().append("epi", "fp", "maybe")
+            AuditJournal().append(pose_record("epi", "fp", "maybe"))
 
 
 class TestCumulativeDisclosure:
@@ -64,14 +78,15 @@ class TestCumulativeDisclosure:
         journal = filled_journal()
         refusal = journal.last()
         assert refusal.status == "refused"
-        assert refusal.kind == "PrivacyViolation"
+        assert refusal.chained["refusal_kind"] == "PrivacyViolation"
         assert refusal.cumulative_loss == pytest.approx(0.37)
 
     def test_record_filtering_and_last(self):
         journal = filled_journal()
         assert len(journal) == 4
-        assert [r.fingerprint for r in journal.records("bob")] == ["fp-3"]
-        assert journal.last().fingerprint == "fp-4"
+        assert ([r.chained["fingerprint"] for r in journal.records("bob")]
+                == ["fp-3"])
+        assert journal.last().chained["fingerprint"] == "fp-4"
         assert AuditJournal().last() is None
 
 
@@ -85,9 +100,9 @@ class TestTamperEvidence:
     def test_field_tamper_detected_at_first_bad_record(self, position,
                                                        field, value):
         records = [r.to_dict() for r in filled_journal().records()]
-        if records[position][field] == value:
+        if records[position]["chained"][field] == value:
             pytest.skip("mutation is a no-op for this record")
-        records[position][field] = value
+        records[position]["chained"][field] = value
         ok, bad_seq = verify_records(records)
         assert not ok
         assert bad_seq == position + 1
@@ -128,7 +143,9 @@ class TestSerialization:
         replayed = [json.loads(line)
                     for line in journal.to_jsonl().splitlines()]
         assert verify_records(replayed) == (True, None)
-        assert replayed[0]["per_source_loss"] == {"clinic": 0.2, "lab": 0.3}
+        assert replayed[0]["chained"]["per_source_loss"] == {
+            "clinic": 0.2, "lab": 0.3,
+        }
 
     def test_dump_writes_verifiable_file(self, tmp_path):
         from repro.telemetry.report import load_jsonl

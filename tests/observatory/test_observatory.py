@@ -80,19 +80,20 @@ class TestJournalIntegration:
 
         assert first.status == "answered"
         assert first.requester == "epi"
-        assert isinstance(first.fingerprint, str) and first.fingerprint
-        assert set(first.per_source_loss) == {"clinic", "lab"}
-        assert first.aggregated_loss > 0.0
+        fingerprint = first.chained["fingerprint"]
+        assert isinstance(fingerprint, str) and fingerprint
+        assert set(first.chained["per_source_loss"]) == {"clinic", "lab"}
+        assert first.chained["aggregated_loss"] > 0.0
 
         # identical queries share a fingerprint; disclosure compounds
-        assert second.fingerprint == first.fingerprint
+        assert second.chained["fingerprint"] == fingerprint
         assert second.cumulative_loss == pytest.approx(
-            1.0 - (1.0 - first.aggregated_loss) ** 2
+            1.0 - (1.0 - first.chained["aggregated_loss"]) ** 2
         )
 
         assert third.status == "refused"
-        assert third.kind == "PrivacyViolation"
-        assert third.aggregated_loss == 0.0
+        assert third.chained["refusal_kind"] == "PrivacyViolation"
+        assert third.chained["aggregated_loss"] == 0.0
         assert third.cumulative_loss == 0.0  # refusals disclose nothing
 
         assert journal.verify_chain() == (True, None)
@@ -104,7 +105,7 @@ class TestJournalIntegration:
         record = system.audit_journal().last()
         assert record.status == "refused"
         assert record.requester == "snoop"
-        assert record.kind
+        assert record.chained["refusal_kind"]
 
     def test_events_narrate_the_pose_sequence(self):
         system = build_system(telemetry=True, observatory=True)
@@ -132,7 +133,7 @@ class TestJournalIntegration:
         system = build_system(telemetry=True, observatory=True)
         system.query(AGGREGATE, requester="epi")
         document = system.explain_last().to_dict()
-        assert document["audit"]["status"] == "answered"
+        assert document["audit"]["chained"]["status"] == "answered"
         assert document["audit"]["hash"]
         event_names = [e["name"] for e in document["events"]]
         assert "pose.answered" in event_names
@@ -140,8 +141,17 @@ class TestJournalIntegration:
         with pytest.raises(PrivacyViolation):
             system.query(FORBIDDEN, requester="advertiser")
         document = system.explain_last().to_dict()
-        assert document["audit"]["status"] == "refused"
+        assert document["audit"]["chained"]["status"] == "refused"
         assert any(e["name"] == "pose.refused" for e in document["events"])
+
+    def test_editing_an_exported_ledger_leaves_the_journal_intact(self):
+        system = build_system(telemetry=True, observatory=True)
+        system.query(AGGREGATE, requester="epi")
+        document = system.explain_last().to_dict()
+        document["audit"]["chained"]["requester"] = "someone"
+        document["audit"]["chained"]["per_source_loss"].clear()
+        assert system.audit_journal().verify_chain() == (True, None)
+        assert system.audit_journal().last().requester == "epi"
 
     def test_observatory_report_shape(self):
         system = build_system(telemetry=True, observatory=True)

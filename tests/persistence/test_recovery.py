@@ -23,7 +23,6 @@ import pytest
 from repro import PrivateIye
 from repro.data import FIGURE1
 from repro.errors import AuditRefusal, PersistenceError, PrivacyViolation
-from repro.observatory.journal import AuditJournal
 from repro.persistence import MemoryBackend, PersistenceSink
 from repro.persistence.wal import LOG_NAME, WalBackend
 from repro.relational import Table
@@ -380,10 +379,10 @@ class TestRefusalsAndGuards:
         tampered = False
         for line in log_path.read_text().splitlines():
             record = json.loads(line)
-            if record.get("kind") == "pose" and record.get("journal"):
+            if record.get("kind") == "pose" and record.get("hash"):
                 # quietly shrink the journaled disclosure — the sha256
                 # chain must catch exactly this kind of revisionism
-                record["aggregated_loss"] = 0.0
+                record["chained"]["aggregated_loss"] = 0.0
                 tampered = True
             doctored.append(json.dumps(record, sort_keys=True,
                                        separators=(",", ":")))
@@ -407,9 +406,10 @@ class TestRefusalsAndGuards:
         for line in log_path.read_text().splitlines():
             record = json.loads(line)
             if record.get("kind") == "pose":
-                record["aggregated_loss"] = 0
-                record["per_source_loss"] = {
-                    source: 0 for source in record["per_source_loss"]
+                pose = record["chained"]
+                pose["aggregated_loss"] = 0
+                pose["per_source_loss"] = {
+                    source: 0 for source in pose["per_source_loss"]
                 }
             doctored.append(json.dumps(record, sort_keys=True,
                                        separators=(",", ":")))
@@ -418,60 +418,6 @@ class TestRefusalsAndGuards:
         rebuilt = build_system(path)
         with pytest.raises(PersistenceError, match="chain"):
             rebuilt.recover()
-
-
-class TestEarlierLayout:
-    def test_pose_records_with_a_nested_journal_still_recover(self):
-        """Pose records that nest the whole journal record beside the
-        same fields, flag ``pose_counted`` and name ``refusal_kind``."""
-        journal = AuditJournal(clock=lambda: 1_700_000_000.0)
-        answered = journal.append(
-            "epi", "f" * 32, "answered",
-            per_source_loss={"clinic": 0.25, "lab": 0.5},
-            aggregated_loss=0.625,
-        )
-        refused = journal.append("advertiser", "e" * 32, "refused",
-                                 kind="PrivacyViolation")
-        backend = MemoryBackend()
-        backend.append({
-            "kind": "pose", "seq": 1, "requester": "epi",
-            "fingerprint": "f" * 32, "status": "answered",
-            "trace_id": "t-1-00000001",
-            "history": {"sequence": 1, "requester": "epi",
-                        "attributes": ["hba1c"],
-                        "predicate_signature": "<none>",
-                        "is_aggregate": True, "refused": False},
-            "journal": answered.to_dict(),
-            "per_source_loss": {"clinic": 0.25, "lab": 0.5},
-            "aggregated_loss": 0.625,
-            "cells": [["mean", "clinic", 70.0], ["mean", "lab", 75.0]],
-            "pose_counted": True,
-        })
-        backend.append({
-            "kind": "pose", "seq": 2, "requester": "advertiser",
-            "fingerprint": "e" * 32, "status": "refused",
-            "refusal_kind": "PrivacyViolation",
-            "trace_id": "t-1-00000002", "history": None,
-            "journal": refused.to_dict(),
-        })
-
-        system = build_system(PersistenceSink(backend))
-        report = system.recover()
-        assert report.journal_records == 2
-        restored = system.audit_journal()
-        assert ([r.to_dict() for r in restored.records()]
-                == [answered.to_dict(), refused.to_dict()])
-        assert restored.verify_chain() == (True, None)
-        assert report.cumulative_loss == {"epi": 0.625}
-        assert len(system.engine.history) == 1
-        watch = system.observatory.watch.state_dict()
-        assert watch["poses"] == {"epi": 1}
-        assert watch["knowledge"]["epi"]["cells"] == [
-            ["mean", "clinic", 70.0], ["mean", "lab", 75.0],
-        ]
-        # and the deployment keeps compounding on top of it
-        system.query(AGGREGATE, requester="epi")
-        assert system.audit_journal().verify_chain() == (True, None)
 
 
 class TestDifferential:

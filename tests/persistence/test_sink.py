@@ -32,7 +32,7 @@ class TestRecording:
         assert [r["kind"] for r in records] == [
             KIND_POSE, KIND_EPOCH, KIND_PUBLICATION,
         ]
-        assert records[0]["requester"] == "epi"
+        assert records[0]["chained"]["requester"] == "epi"
         assert records[1] == {"kind": KIND_EPOCH, "name": "schema",
                               "value": 3, "seq": 2}
         assert records[2]["source_means"] == {"HMO2": 6.1}
@@ -59,7 +59,8 @@ class TestRecording:
         sink.record_pose(pose("epi"))
         _, records = sink.load()
         assert [r["seq"] for r in records] == [1, 2]
-        assert all(r["requester"] != "replayed" for r in records)
+        assert all(r["chained"]["requester"] != "replayed"
+                   for r in records)
 
 
 class TestWriteAheadWindow:

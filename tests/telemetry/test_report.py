@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ReproError
 from repro.observatory.journal import AuditJournal
 from repro.telemetry.report import load_jsonl, main, summarize
+from tests.observatory.test_journal import pose_record
 
 EVENTS = [
     {"seq": 1, "name": "pose.answered", "ts": 10.0,
@@ -34,8 +35,10 @@ def write_events(tmp_path, events=EVENTS):
 
 def write_journal(tmp_path, tamper=False):
     journal = AuditJournal(clock=lambda: 100.0)
-    journal.append("epi", "fp-1", "answered", aggregated_loss=0.3)
-    journal.append("epi", "fp-2", "answered", aggregated_loss=0.1)
+    journal.append(pose_record("epi", "fp-1", "answered",
+                               aggregated_loss=0.3))
+    journal.append(pose_record("epi", "fp-2", "answered",
+                               aggregated_loss=0.1))
     path = tmp_path / "journal.jsonl"
     text = journal.to_jsonl()
     if tamper:
@@ -62,8 +65,10 @@ class TestSummarize:
         }
 
     def test_journal_is_authoritative_for_disclosure(self):
-        records = [{"requester": "epi", "cumulative_loss": 0.5},
-                   {"requester": "fresh", "cumulative_loss": 0.1}]
+        records = [
+            {"chained": {"requester": "epi", "cumulative_loss": 0.5}},
+            {"chained": {"requester": "fresh", "cumulative_loss": 0.1}},
+        ]
         summary = summarize(EVENTS, journal_records=records)
         assert summary["requesters"]["epi"][
             "cumulative_disclosure"] == pytest.approx(0.5)
