@@ -44,6 +44,11 @@ class ViolationNotice:
         self.budget = budget
         self.detail = detail
 
+    def to_dict(self):
+        """The notice as the explain ledger lists it."""
+        return {"source": self.source, "aggregated_loss": self.aggregated_loss,
+                "budget": self.budget, "detail": self.detail}
+
     def __repr__(self):
         return (
             f"ViolationNotice({self.source!r}: aggregated "
@@ -114,7 +119,8 @@ class PrivacyControl:
                     budget=notice.budget,
                 )
         # repro-lint: disable=REP010 -- compound loss is the published
-        # accounting aggregate (report.set_control hands it to the
+        # accounting aggregate (the explain ledger's control section,
+        # read off the privacy-control span, hands it to the
         # requester); tainted only by tuple-return granularity.
         metrics.histogram("control.aggregated_loss").observe(aggregated)
         return kept_rows, aggregated, notices

@@ -282,14 +282,33 @@ class SourceOutcome:
         self.refusal = None       # Refusal (policy refusal OR unavailability)
 
     def to_dict(self):
-        """The explain ledger's per-source dispatch record."""
-        return {
-            "wall_ms": self.wall_ms,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "faults": list(self.faults),
-            "breaker_state": self.breaker_state,
-        }
+        """The explain ledger's per-source record: what the source
+        disclosed (or why it did not), then the dispatch stats."""
+        if self.status == "answered":
+            response = self.response
+            rewrite = response.rewrite
+            record = {
+                "outcome": "answered",
+                "privacy_loss": response.privacy_loss,
+                "information_loss": response.information_loss,
+                "loss_budget": rewrite.loss_budget,
+                "strategy": response.plan.strategy,
+                "dropped_columns": list(rewrite.dropped),
+                "generalized_columns": list(rewrite.generalized_columns),
+            }
+        else:
+            # unavailable: ``kind`` is the fault class (DeadlineExceeded,
+            # TransientSourceError or CircuitOpen)
+            record = {"outcome": self.status, "kind": self.refusal.kind,
+                      "reason": self.refusal.reason}
+        record.update(
+            wall_ms=self.wall_ms,
+            attempts=self.attempts,
+            retries=self.retries,
+            faults=list(self.faults),
+            breaker_state=self.breaker_state,
+        )
+        return record
 
     def __repr__(self):
         return (

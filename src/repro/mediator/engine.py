@@ -11,12 +11,14 @@ once its ``mediator.pose`` span closes.  One settle step then projects
 it, in one order: the disclosure-journal record (the pose's chained
 payload, serialized once), the write-ahead log record (those bytes, in
 an envelope), the ``pose.<status>`` event, the snooper fold (answered
-only), the per-query :class:`~repro.telemetry.explain.ExplainReport` (the
-privacy ledger, which also records the fragmentation plan, the guard
-verdict, the warehouse leg and each source's outcome as the pipeline
-runs) and the metrics.  With telemetry disabled (the default) the
-ledger, events and metrics degrade to no-op singleton calls; see
-:mod:`repro.telemetry`.
+only), the per-query :class:`~repro.telemetry.explain.ExplainReport` and
+the metrics.  The ledger records nothing as the pipeline runs: each
+stage sets the facts it decides (the fragment plan, the epoch vector,
+the static verdict, the warehouse leg, the per-source outcomes, the
+verified losses) on its own span, and the ledger reads them off the
+pose's span tree and its record.  With telemetry disabled (the default)
+the spans, ledger, events and metrics degrade to no-op singleton calls;
+see :mod:`repro.telemetry`.
 
 Durability contract (:mod:`repro.persistence`): with a persistence sink
 attached, the WAL append comes before anything else learns of the pose
@@ -39,7 +41,6 @@ from repro.errors import (
     AuditRefusal,
     IntegrationError,
     PrivacyViolation,
-    Refusal,
     ReproError,
     SourceUnavailable,
 )
@@ -107,7 +108,7 @@ class PoseRecord:
         payload.update(seq=seq, ts=ts, cumulative_loss=cumulative_loss)
         return payload
 
-    def settle(self, engine, report, event_mark):
+    def settle(self, engine, span, event_mark, query, role):
         """Project the pose onto every record of it, in one order.
 
         Journal (hashes the chained bytes) → WAL (writes them: the
@@ -115,6 +116,8 @@ class PoseRecord:
         it) → ``pose.<status>`` event → snooper fold
         (answered only) → explain ledger → metrics, for both statuses.
         The caller then returns the result or re-raises the refusal.
+        ``span`` is the pose's root span, ``query`` its posed text and
+        ``role`` the requester's role: the ledger reads them.
         Reading the fields through ``self`` lets the flow analyzer track
         them one by one: only the losses and cells carry the result's
         taint.
@@ -149,7 +152,8 @@ class PoseRecord:
             # Alert events land after this pose's ``pose.answered`` and
             # before the next pose's.
             observatory.observe_result(self.requester, self.cells)
-        report.finish(self, journal, events.since(event_mark))
+        telemetry.explain.record(query, role, self, journal,
+                                 events.since(event_mark), span)
         if not answered:
             metrics.counter("mediator.queries_refused").inc()
             metrics.counter(f"mediator.refusals.{self.refusal_kind}").inc()
@@ -371,7 +375,6 @@ class MediationEngine:
         # under the same identity as an answered one.  The ledger keeps
         # the posed text, rendered alongside the canonical one.
         canonical, posed = canonical_render(query)
-        report = telemetry.explain.begin(posed, requester, role)
         policy_epoch = self._policy_epoch()
         fingerprint = plan_fingerprint(canonical, requester, role,
                                        subjects, policy_epoch)
@@ -387,31 +390,34 @@ class MediationEngine:
         # compiles a source's plan first, the other reuses it.
         memos = batch.shared if batch is not None else defaultdict(dict)
         try:
-            with telemetry.span("mediator.pose", trace_id=batch_trace,
-                                requester=requester) as span:
+            # ``warehouse``: the mode of the answer tier serving the pose
+            with telemetry.span(
+                "mediator.pose", trace_id=batch_trace, requester=requester,
+                warehouse=self.warehouse.mode if use_warehouse else None,
+            ) as span:
                 result, history = self._pose(
                     query, requester, role, subjects, emergency,
-                    use_warehouse, report, canonical, fingerprint,
-                    policy_epoch, batch, memos,
+                    use_warehouse, canonical, fingerprint, policy_epoch,
+                    batch, memos,
                 )
         except ReproError as error:
             # Only a sequence-guard refusal charges history (see _pose).
             PoseRecord.of(
                 query, requester, fingerprint, span,
                 getattr(error, "history", None), error=error,
-            ).settle(self, report, event_mark)
+            ).settle(self, span, event_mark, posed, role)
             raise
         finally:
             if batch is None:
                 release_memos(memos)
         PoseRecord.of(
             query, requester, fingerprint, span, history, result=result,
-        ).settle(self, report, event_mark)
+        ).settle(self, span, event_mark, posed, role)
         return result
 
     def _pose(self, query, requester, role, subjects, emergency,
-              use_warehouse, report, canonical, fingerprint, policy_epoch,
-              batch, memos):
+              use_warehouse, canonical, fingerprint, policy_epoch, batch,
+              memos):
         """The ``pose()`` pipeline body (refusals propagate to the caller).
 
         Returns ``(result, history)``: the integrated result and the
@@ -431,20 +437,20 @@ class MediationEngine:
                 plan, plan_hit = cache.plan_for(
                     canonical, lambda: self.fragmenter.fragment(query)
                 )
-                span.set(cached=plan_hit)
+                span.set(plan=plan, cached=plan_hit)
             else:
-                plan, plan_hit = self.fragmenter.fragment(query), False
-        report.set_fragmentation(plan)
+                plan = self.fragmenter.fragment(query)
+                span.set(plan=plan)
         attributes = sorted(set(plan.mediated_names.values()))
         signature = self._predicate_signature(query)
 
-        with telemetry.span("mediator.sequence_guard", requester=requester):
+        with telemetry.span("mediator.sequence_guard",
+                            requester=requester) as guard:
             try:
                 self._sequence_guard.check(
                     requester, attributes, signature, query.is_aggregate
                 )
             except AuditRefusal as refusal:
-                report.set_guard("refused", str(refusal))
                 # The one refusal that charges history: its entry rides
                 # the refusal to the settle step.
                 refusal.history = self.history.record(
@@ -452,31 +458,22 @@ class MediationEngine:
                     refused=True,
                 ).to_dict()
                 raise
-        report.set_guard("pass")
 
         # Probe bookkeeping sits between the guard check and the epoch
         # snapshot: a *novel* aggregate probe advances the requester's
         # epoch first, so the entry stored below carries the post-advance
         # vector — valid for exact repeats, dead on the next novel probe.
-        if cache is not None:
-            cache.note_probe(requester, attributes, signature,
-                             query.is_aggregate)
-
         # The fingerprint (computed in ``pose()``) is also the warehouse
         # key when the cache is disabled — unlike the old ad-hoc
         # ``requester|role|text`` string it includes subjects, so two
         # subject sets can no longer collide on one entry.
-        epochs = (cache.epoch_vector(policy_epoch, requester)
-                  if cache is not None else None)
-        cache_info = {
-            "enabled": cache is not None,
-            "fingerprint": fingerprint,
-            "epochs": dict(epochs) if epochs is not None else None,
-            "plan": self._tier_outcome(cache, plan_hit),
-            "static": "off",
-            "answer": "off",
-        }
-        report.set_cache(cache_info)
+        epochs = None
+        if cache is not None:
+            cache.note_probe(requester, attributes, signature,
+                             query.is_aggregate)
+            epochs = cache.epoch_vector(policy_epoch, requester)
+            # the vector this admitted pose is served under, for the ledger
+            guard.set(epochs=epochs)
 
         # RBAC on every pose, where the gate would check it: the static
         # and answer tiers serve by fingerprint, and no grant is in it.
@@ -488,41 +485,26 @@ class MediationEngine:
 
         if self.static_analyzer is not None:
             self._static_gate(query, plan, requester, role, subjects,
-                              use_warehouse, report, fingerprint,
-                              cache_info, memos)
+                              fingerprint, memos)
 
         if use_warehouse:
             with telemetry.span("mediator.warehouse") as span:
-                try:
-                    result, stats = self.warehouse.answer(
-                        fingerprint,
-                        lambda: self._compute(
-                            query, plan, requester, role, subjects, report,
-                            batch, memos,
-                        ),
-                        n_sources=len(plan.sources),
-                        emergency=emergency,
-                        epochs=epochs,
-                    )
-                except ReproError:
-                    # compute() raised → this was a cache miss; record it
-                    # so refused-query ledgers still show the warehouse leg
-                    report.set_warehouse_miss(self.warehouse.mode)
-                    cache_info["answer"] = "miss"
-                    report.set_cache(cache_info)
-                    raise
+                result, stats = self.warehouse.answer(
+                    fingerprint,
+                    lambda: self._compute(
+                        query, plan, requester, role, subjects, batch, memos,
+                    ),
+                    n_sources=len(plan.sources),
+                    emergency=emergency,
+                    epochs=epochs,
+                )
                 span.set(from_cache=stats.from_cache,
-                         staleness=stats.staleness)
-            report.set_warehouse(stats)
-            # hit/miss like the other tiers; the hit's *origin*
-            # (answer-cache vs legacy warehouse) is in the warehouse leg
-            cache_info["answer"] = "hit" if stats.from_cache else "miss"
+                         staleness=stats.staleness,
+                         source_calls=stats.source_calls)
         else:
             result = self._compute(
-                query, plan, requester, role, subjects, report, batch,
-                memos,
+                query, plan, requester, role, subjects, batch, memos,
             )
-        report.set_cache(cache_info)
 
         entry = self.history.record(
             requester, attributes, signature, query.is_aggregate
@@ -556,16 +538,17 @@ class MediationEngine:
     # -- internals -----------------------------------------------------------
 
     def _static_gate(self, query, plan, requester, role, subjects,
-                     use_warehouse, report, fingerprint, cache_info,
-                     memos=None):
+                     fingerprint, memos=None):
         """Run the pre-dispatch plan analyzer; raise on a REFUSE verdict.
 
         A ``REFUSE`` is raised with the same exception type — and a
         message containing the same per-source reasons — that the
         runtime path would eventually produce, so callers and tests see
-        one refusal contract regardless of where it was decided.  Tier 2
-        memoizes the verdict on the fingerprint: a cached REFUSE replays
-        the identical ledger entries and raises the identical message
+        one refusal contract regardless of where it was decided; the
+        ledger reads the per-source refusals off the verdict, in the
+        runtime path's shape.  Tier 2 memoizes the verdict on the
+        fingerprint: a cached REFUSE replays the identical ledger
+        entries and raises the identical message
         (sound because refusals are final and the fingerprint pins the
         policy epoch the verdict was decided under).
         """
@@ -585,10 +568,8 @@ class MediationEngine:
                 verdict, cached = cache.static_verdict(fingerprint, analyze)
             else:
                 verdict, cached = analyze(), False
-            span.set(verdict=verdict.verdict, cached=cached)
-        report.set_static(verdict)
-        cache_info["static"] = self._tier_outcome(cache, cached)
-        report.set_cache(cache_info)
+            span.set(verdict=verdict.verdict, cached=cached,
+                     plan_verdict=verdict)
         metrics = telemetry.metrics
         metrics.counter(
             f"mediator.static.{verdict.verdict.lower()}"
@@ -600,30 +581,15 @@ class MediationEngine:
             )
         if verdict.verdict != REFUSE:
             return
-        # Dispatch is skipped entirely: account for the saved fan-out
-        # and leave a per-source ledger identical in shape to the one
-        # the runtime refusal path would have written.
+        # Dispatch is skipped entirely: account for the saved fan-out.
         metrics.counter("mediator.static.saved_source_calls").inc(
             len(plan.sources)
         )
-        if use_warehouse:
-            report.set_warehouse_miss(self.warehouse.mode)
-        for name, outcome in sorted(verdict.per_source.items()):
-            if outcome.refusal_kind is not None:
-                report.source_refused(
-                    name,
-                    Refusal(outcome.refusal_kind, outcome.refusal_reason),
-                    dispatch={"static": True},
-                )
         raise PrivacyViolation(verdict.reason)
 
-    def _compute(self, query, plan, requester, role, subjects, report=None,
-                 batch=None, memos=None):
+    def _compute(self, query, plan, requester, role, subjects, batch=None,
+                 memos=None):
         telemetry = self.telemetry
-        if report is None:
-            # direct callers (tests, warehouse refresh) skip the ledger
-            from repro.telemetry import NOOP_REPORT
-            report = NOOP_REPORT
 
         def call(source_name):
             return self.sources[source_name].answer(
@@ -644,10 +610,12 @@ class MediationEngine:
             )
             span.set(answered=len(outcome_set.responses),
                      retries=outcome_set.total_retries,
-                     wall_ms=outcome_set.wall_ms)
-            self._record_dispatch(outcome_set, report, telemetry)
-            # Enforced after the ledger is written, so a failed quorum
-            # still leaves per-source outcomes in explain_last().
+                     wall_ms=outcome_set.wall_ms,
+                     executor=outcome_set.mode,
+                     outcomes=outcome_set.outcomes)
+            self._record_dispatch(outcome_set, telemetry.metrics)
+            # Enforced after the outcomes are on the span, so a failed
+            # quorum still leaves them in explain_last().
             dispatcher.enforce_partial(outcome_set)
 
         responses = outcome_set.responses
@@ -676,12 +644,13 @@ class MediationEngine:
             rows, per_source_loss, duplicates = self._integrate(
                 responses, plan, query.is_aggregate, batch
             )
-        with telemetry.span("mediator.privacy_control"):
+        with telemetry.span("mediator.privacy_control") as span:
             kept_rows, aggregated, notices = self.control.verify(
                 rows, per_source_loss, budgets
             )
-        report.set_control(per_source_loss, aggregated, query.max_loss,
-                           notices)
+            span.set(per_source_loss=per_source_loss,
+                     aggregated_loss=aggregated, max_loss=query.max_loss,
+                     notices=notices)
         if aggregated > query.max_loss + 1e-9:
             # repro-lint: disable=REP010 -- the refusal quotes the
             # requester's own MAXLOSS and the compound-loss aggregate
@@ -729,19 +698,12 @@ class MediationEngine:
         rows, per_source_loss, duplicates = cached
         return [dict(row) for row in rows], dict(per_source_loss), duplicates
 
-    def _record_dispatch(self, outcome_set, report, telemetry):
-        """Fold fan-out outcomes into the explain ledger and metrics."""
-        metrics = telemetry.metrics
-        for name, outcome in outcome_set.outcomes.items():
-            stats = outcome.to_dict()
-            if outcome.status == "answered":
-                report.source_answered(name, outcome.response, dispatch=stats)
-            elif outcome.status == "refused":
-                report.source_refused(name, outcome.refusal, dispatch=stats)
+    def _record_dispatch(self, outcome_set, metrics):
+        """Fold fan-out outcomes into the metrics."""
+        for outcome in outcome_set.outcomes.values():
+            if outcome.status == "refused":
                 metrics.counter("mediator.source_refusals").inc()
-            else:
-                report.source_unavailable(name, outcome.refusal,
-                                          dispatch=stats)
+            elif outcome.status != "answered":
                 metrics.counter("mediator.fanout.unavailable").inc()
             metrics.histogram("mediator.fanout.source_wall_ms").observe(
                 outcome.wall_ms
@@ -760,16 +722,6 @@ class MediationEngine:
         metrics.histogram("mediator.fanout.wall_ms").observe(
             outcome_set.wall_ms
         )
-        report.set_dispatch({
-            "mode": outcome_set.mode,
-            "policy": self.dispatcher.policy.describe(),
-            "wall_ms": outcome_set.wall_ms,
-            "retries": outcome_set.total_retries,
-            "breakers": {
-                name: outcome.breaker_state
-                for name, outcome in outcome_set.outcomes.items()
-            },
-        })
 
     def _policy_epoch(self):
         """The policy epoch: the sum of per-source policy-store versions.
@@ -787,10 +739,6 @@ class MediationEngine:
             if isinstance(version, int):
                 total += version
         return total
-
-    @staticmethod
-    def _tier_outcome(cache, hit):
-        return "off" if cache is None else ("hit" if hit else "miss")
 
     def _predicate_signature(self, query):
         return " AND ".join(

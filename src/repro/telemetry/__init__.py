@@ -13,14 +13,16 @@ package gives the reproduction the instruments to answer those questions:
   with p50/p95/p99 summaries;
 * :mod:`repro.telemetry.explain` — per-query *privacy ledgers*
   (fragmentation plan, per-source rewrite decisions and refusal kinds,
-  warehouse hit/miss, sequence-guard verdict, aggregated loss vs MAXLOSS).
+  warehouse hit/miss, sequence-guard verdict, aggregated loss vs MAXLOSS),
+  each built once when its pose settles and read off the pose's record
+  and span tree.
 
 One :class:`Telemetry` object bundles the three and is shared by the
 mediation engine, the warehouse, and every registered source.  Telemetry
 is **off by default**: every component falls back to the module-level
 :data:`NOOP` instance, whose tracer/metrics/explain are shared singletons
-that record nothing, so the production hot path pays only an attribute
-lookup per instrumentation point.  Enable it with
+that record nothing and build no ledger, so the production hot path pays
+only an attribute lookup per instrumentation point.  Enable it with
 ``PrivateIye(telemetry=True)``, ``MediationEngine(telemetry=...)``, or the
 environment variable ``REPRO_TELEMETRY=1``.
 
@@ -42,11 +44,9 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.explain import (
     NOOP_EXPLAIN,
-    NOOP_REPORT,
     ExplainLog,
     ExplainReport,
     NoopExplainLog,
-    NoopReport,
 )
 from repro.telemetry.metrics import (
     NOOP_INSTRUMENT,
@@ -185,7 +185,5 @@ __all__ = [
     "ExplainLog",
     "ExplainReport",
     "NoopExplainLog",
-    "NoopReport",
     "NOOP_EXPLAIN",
-    "NOOP_REPORT",
 ]

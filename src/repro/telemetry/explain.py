@@ -4,7 +4,7 @@ The paper's central claim is that privacy-preserving integration must be
 *accountable*: Figure 1's snooping attack works precisely because nobody
 tracks what a sequence of innocent-looking aggregates discloses, and §5
 makes the mediator re-verify loss after integration.  An
-:class:`ExplainReport` records, for one ``MediationEngine.pose()`` call,
+:class:`ExplainReport` shows, for one ``MediationEngine.pose()`` call,
 every decision along that path:
 
 * how the query was **fragmented** (relevant sources, skipped sources and
@@ -22,11 +22,13 @@ every decision along that path:
   loss ``1 − Π(1 − loss_i)``, the requester's MAXLOSS, and any violation
   notices sent to sources.
 
-Reports are held in a bounded :class:`ExplainLog`;
-``PrivateIye.explain_last()`` surfaces the newest one.  When telemetry is
-disabled the :class:`NoopExplainLog` returns one shared
-:class:`NoopReport` whose mutators do nothing, so the disabled query path
-allocates no report state at all.
+The ledger records nothing itself.  It is built once, when the pose
+settles, from the pose's :class:`~repro.mediator.engine.PoseRecord`,
+its journal record, its event window and its root span, on which each
+stage set what it decided (see ``docs/observability.md``); each section
+is rendered from those when it is read.  Reports are held in a bounded
+:class:`ExplainLog`; ``PrivateIye.explain_last()`` surfaces the newest.
+With telemetry disabled the :class:`NoopExplainLog` builds none.
 """
 
 from __future__ import annotations
@@ -34,176 +36,219 @@ from __future__ import annotations
 import copy
 from collections import deque
 
-from repro.query.language import to_piql
+#: ``PlanVerdict.verdict`` of a plan the static gate refused.
+_REFUSE = "REFUSE"
+
+#: The ledger's sections, in the order :meth:`ExplainReport.to_dict`
+#: lists them.
+_SECTIONS = (
+    "query", "requester", "role", "status", "refusal", "fragmentation",
+    "sequence_guard", "static", "cache", "warehouse", "sources",
+    "dispatch", "integration", "control", "audit", "events", "validation",
+    "duration_ms",
+)
 
 
 class ExplainReport:
-    """The privacy ledger of one ``pose()`` call."""
+    """The privacy ledger of one ``pose()`` call.
 
-    def __init__(self, query, requester, role):
-        self.query = to_piql(query) if not isinstance(query, str) else query
-        self.requester = requester
+    ``query`` is the posed PIQL text; ``pose`` the settled
+    :class:`~repro.mediator.engine.PoseRecord`; ``audit`` its
+    disclosure :class:`~repro.observatory.journal.JournalRecord` (or
+    ``None`` without an observatory); ``events`` those emitted while the
+    pose ran and settled; ``root`` its ``mediator.pose`` span.
+    ``validation`` is measured residual risk, stamped by adversary-zoo
+    runs (:func:`repro.validation.zoo.run_adversary`).
+    """
+
+    def __init__(self, query, role, pose, audit, events, root):
+        self.query = query
+        self.requester = pose.requester
         self.role = role
-        self.status = "in-flight"      # answered | refused | in-flight
-        self.refusal = None            # {"kind", "reason"} when refused
-        self.fragmentation = None      # {"sources", "skipped", "attributes"}
-        self.sequence_guard = None     # {"verdict", "reason"}
-        self.static = None             # static plan-check verdict dict
-        self.cache = None              # per-tier hit/miss + fingerprint
-        self.warehouse = None          # {"mode", "from_cache", ...}
-        self.sources = {}              # source → outcome dict
-        self.dispatch = None           # fan-out summary (mode, breakers)
-        self.integration = None        # {"rows", "duplicates_removed"}
-        self.control = None            # aggregated loss vs MAXLOSS + notices
-        self.audit = None              # disclosure JournalRecord
-        self.events = None             # events emitted during this pose
-        self.validation = None         # measured residual risk (zoo runs)
-        self.duration_ms = None
+        self.status = pose.status
+        self.duration_ms = pose.duration_ms
+        self.pose = pose
+        self.audit = audit
+        self.validation = None
+        self._events = events
+        self._root = root
+        self._stages = None
 
-    # -- recording (called by the engine as the pipeline advances) ---------
+    def _stage(self, name):
+        """Attributes of the pose's first ``mediator.<name>`` span."""
+        if self._stages is None:
+            stages = {}
+            for span in self._root.walk():
+                stages.setdefault(span.name, span.attributes)
+            self._stages = stages
+        return self._stages.get(f"mediator.{name}")
 
-    def set_fragmentation(self, plan):
-        self.fragmentation = {
-            "sources": list(plan.sources),
+    def _fact(self, stage, key):
+        """What stage ``mediator.<stage>`` set as ``key`` (else ``None``)."""
+        attributes = self._stage(stage)
+        return attributes.get(key) if attributes is not None else None
+
+    def _refused_statically(self):
+        verdict = self._fact("static_check", "plan_verdict")
+        return verdict is not None and verdict.verdict == _REFUSE
+
+    # -- sections, read off the pose record ----------------------------------
+
+    @property
+    def refusal(self):
+        if self.pose.status != "refused":
+            return None
+        return {"kind": self.pose.refusal_kind,
+                "reason": self.pose.refusal_reason}
+
+    @property
+    def integration(self):
+        if self.pose.status != "answered":
+            return None
+        return {"rows": self.pose.rows,
+                "duplicates_removed": self.pose.duplicates_removed}
+
+    @property
+    def events(self):
+        return [event.to_dict() for event in self._events]
+
+    # -- sections, read off the stage spans ----------------------------------
+
+    @property
+    def fragmentation(self):
+        plan = self._fact("fragment", "plan")
+        if plan is None:
+            return None
+        return {
+            "sources": plan.sources,
             "skipped": dict(plan.skipped_sources),
             "attributes": sorted(set(plan.mediated_names.values())),
         }
 
-    def set_guard(self, verdict, reason=None):
-        self.sequence_guard = {"verdict": verdict, "reason": reason}
+    @property
+    def sequence_guard(self):
+        guard = self._stage("sequence_guard")
+        if guard is None:
+            return None
+        if "error" in guard:
+            return {"verdict": "refused", "reason": self.pose.refusal_reason}
+        return {"verdict": "pass", "reason": None}
 
-    def set_static(self, verdict):
-        """Record the pre-dispatch static plan-check verdict.
+    @property
+    def static(self):
+        """The static plan-check verdict, rendered once per verdict (see
+        :meth:`~repro.analysis.plancheck.PlanVerdict.ledger`); poses the
+        static tier serves share that rendering, read-only."""
+        verdict = self._fact("static_check", "plan_verdict")
+        return verdict.ledger() if verdict is not None else None
 
-        ``verdict`` is a :class:`repro.analysis.plancheck.PlanVerdict`;
-        the ledger keeps its dict form (rendered once per verdict, see
-        :meth:`~repro.analysis.plancheck.PlanVerdict.ledger`) so reports
-        stay JSON-serializable.
-        """
-        self.static = verdict.ledger()
+    @property
+    def cache(self):
+        """Per-tier hit/miss, the fingerprint and the epoch vector; from
+        the guard's pass on (a tier the pose never reached is ``off``)."""
+        guard = self._stage("sequence_guard")
+        if guard is None or "error" in guard:
+            return None
+        epochs = guard.get("epochs")
+        enabled = epochs is not None
 
-    def set_cache(self, info):
-        """Record the mediation-cache section (engine may call repeatedly
-        as tiers resolve; the last call wins with the full picture)."""
-        self.cache = dict(info)
+        def tier(stage):
+            if not enabled or stage is None or "cached" not in stage:
+                return "off"
+            return "hit" if stage["cached"] else "miss"
 
-    def set_warehouse(self, stats):
-        self.warehouse = {
-            "mode": stats.mode,
-            "from_cache": bool(stats.from_cache),
-            "origin": stats.origin,
-            "source_calls": stats.source_calls,
-            "staleness": stats.staleness,
+        warehouse = self._stage("warehouse")
+        return {
+            "enabled": enabled,
+            "fingerprint": self.pose.fingerprint,
+            "epochs": dict(epochs) if enabled else None,
+            "plan": tier(self._stage("fragment")),
+            "static": tier(self._stage("static_check")),
+            # the hit's origin (answer cache or legacy warehouse) is in
+            # the warehouse leg
+            "answer": ("off" if warehouse is None
+                       else "hit" if warehouse.get("from_cache") else "miss"),
         }
 
-    def set_warehouse_miss(self, mode):
-        """Record a miss whose recomputation raised (refused query)."""
-        self.warehouse = {
-            "mode": mode, "from_cache": False, "origin": "sources",
-            "source_calls": None, "staleness": None,
-        }
+    @property
+    def warehouse(self):
+        """The answer tier's leg; a refusal after the guard (a failed
+        recomputation or a static REFUSE) shows as a miss."""
+        mode = self._root.attributes.get("warehouse")
+        leg = self._stage("warehouse")
+        if leg is not None and "from_cache" in leg:
+            hit = leg["from_cache"]
+            return {"mode": mode, "from_cache": bool(hit),
+                    "origin": hit or "sources",
+                    "source_calls": leg["source_calls"],
+                    "staleness": leg["staleness"]}
+        if mode is None or (leg is None and not self._refused_statically()):
+            return None
+        return {"mode": mode, "from_cache": False, "origin": "sources",
+                "source_calls": None, "staleness": None}
 
-    def source_answered(self, name, response, dispatch=None):
-        rewrite = response.rewrite
-        outcome = {
-            "outcome": "answered",
-            "privacy_loss": response.privacy_loss,
-            "information_loss": response.information_loss,
-            "loss_budget": rewrite.loss_budget,
-            "strategy": response.plan.strategy,
-            "dropped_columns": list(rewrite.dropped),
-            "generalized_columns": list(rewrite.generalized_columns),
-        }
-        if dispatch:
-            outcome.update(dispatch)
-        self.sources[name] = outcome
-
-    def source_refused(self, name, refusal, dispatch=None):
-        outcome = {
-            "outcome": "refused",
-            "kind": refusal.kind,
-            "reason": refusal.reason,
-        }
-        if dispatch:
-            outcome.update(dispatch)
-        self.sources[name] = outcome
-
-    def source_unavailable(self, name, refusal, dispatch=None):
-        """A source that could not be *reached* (vs one that refused).
-
-        ``refusal.kind`` carries the fault class — ``DeadlineExceeded``,
-        ``TransientSourceError``, or ``CircuitOpen``.
-        """
-        outcome = {
-            "outcome": "unavailable",
-            "kind": refusal.kind,
-            "reason": refusal.reason,
-        }
-        if dispatch:
-            outcome.update(dispatch)
-        self.sources[name] = outcome
-
-    def set_dispatch(self, info):
-        """Record the fan-out summary (mode, policy, wall, breakers)."""
-        self.dispatch = dict(info)
-
-    def set_control(self, per_source_loss, aggregated_loss, max_loss,
-                    notices):
-        self.control = {
-            "per_source_loss": dict(per_source_loss),
-            "aggregated_loss": aggregated_loss,
-            "max_loss": max_loss,
-            "within_budget": aggregated_loss <= max_loss + 1e-9,
-            "notices": [
-                {"source": n.source, "aggregated_loss": n.aggregated_loss,
-                 "budget": n.budget, "detail": n.detail}
-                for n in notices
-            ],
-        }
-
-    def set_validation(self, summary):
-        """Attach measured residual risk from the validation suite.
-
-        ``summary`` is the ``{family: {metric: value}}`` shape produced
-        by :func:`repro.validation.summarize` (any JSON-serializable
-        dict is accepted) — adversary-zoo runs stamp the ledger of the
-        query they last posed, so the explain report shows not just what
-        was *charged* but what an adversary could actually *measure*.
-        """
-        self.validation = dict(summary)
-
-    def finish(self, pose, audit=None, events=()):
-        """Close the ledger from the settled pose.
-
-        ``pose`` is the engine's :class:`~repro.mediator.engine.
-        PoseRecord`; ``audit`` its journal record (exported with its
-        chained payload and hash, so a report can be checked against
-        the journal later);
-        ``events`` those emitted while the pose ran and settled.
-        """
-        self.status = pose.status
-        self.duration_ms = pose.duration_ms
-        if pose.status == "refused":
-            self.refusal = {"kind": pose.refusal_kind,
-                            "reason": pose.refusal_reason}
-        else:
-            self.integration = {
-                "rows": pose.rows,
-                "duplicates_removed": pose.duplicates_removed,
+    @property
+    def sources(self):
+        """``{source: outcome}``; a static REFUSE lists the refusals the
+        analyzer predicted, in the runtime path's shape."""
+        if self._refused_statically():
+            verdict = self._fact("static_check", "plan_verdict")
+            return {
+                name: {"outcome": "refused", "kind": outcome.refusal_kind,
+                       "reason": outcome.refusal_reason, "static": True}
+                for name, outcome in sorted(verdict.per_source.items())
+                if outcome.refusal_kind is not None
             }
-        self.audit = audit
-        self.events = [e.to_dict() for e in events]
+        outcomes = self._fact("fanout", "outcomes") or {}
+        return {name: outcome.to_dict() for name, outcome in outcomes.items()}
+
+    @property
+    def dispatch(self):
+        """The fan-out summary: mode, policy, wall, retries, breakers."""
+        fanout = self._stage("fanout")
+        if fanout is None or "outcomes" not in fanout:
+            return None
+        return {
+            "mode": fanout["executor"],
+            "policy": fanout["mode"],
+            "wall_ms": fanout["wall_ms"],
+            "retries": fanout["retries"],
+            "breakers": {name: outcome.breaker_state
+                         for name, outcome in fanout["outcomes"].items()},
+        }
+
+    @property
+    def control(self):
+        """The losses the privacy control verified, against MAXLOSS.
+
+        Read off the stage's span rather than the pose record: a pose
+        refused for MAXLOSS disclosed nothing, yet its ledger shows the
+        losses that exceeded the bound.
+        """
+        control = self._stage("privacy_control")
+        if control is None or "aggregated_loss" not in control:
+            return None
+        aggregated, max_loss = control["aggregated_loss"], control["max_loss"]
+        return {
+            "per_source_loss": dict(control["per_source_loss"]),
+            "aggregated_loss": aggregated,
+            "max_loss": max_loss,
+            "within_budget": aggregated <= max_loss + 1e-9,
+            "notices": [notice.to_dict() for notice in control["notices"]],
+        }
 
     # -- reading -----------------------------------------------------------
 
     def to_dict(self):
-        """Plain-dict form of the full ledger (JSON-serializable)."""
-        document = dict(vars(self))
-        document["sources"] = dict(self.sources)
-        # a copy: editing an exported ledger must not edit the journal
-        document["audit"] = (copy.deepcopy(self.audit.to_dict())
-                             if self.audit is not None else None)
-        return document
+        """Plain-dict form of the full ledger (JSON-serializable).
+
+        A deep copy: editing it edits neither this report, nor the
+        static verdict later poses share, nor the journal record.
+        """
+        document = {name: getattr(self, name) for name in _SECTIONS}
+        if self.audit is not None:
+            document["audit"] = self.audit.to_dict()
+        return copy.deepcopy(document)
 
     def refusing_sources(self):
         """Names of sources whose outcome was a refusal."""
@@ -240,12 +285,9 @@ class ExplainLog:
     def __init__(self, max_reports=64):
         self._reports = deque(maxlen=max_reports)
 
-    def begin(self, query, requester, role):
-        """Open (and retain) a report for a ``pose()`` call.
-
-        ``query`` is a PIQL query or its already-rendered text.
-        """
-        report = ExplainReport(query, requester, role)
+    def record(self, query, role, pose, audit, events, root):
+        """Retain the ledger of a settled pose (see :class:`ExplainReport`)."""
+        report = ExplainReport(query, role, pose, audit, events, root)
         self._reports.append(report)
         return report
 
@@ -266,42 +308,13 @@ class ExplainLog:
         return len(self._reports)
 
 
-class NoopReport:
-    """Absorbs every recording call; one shared instance, no state."""
-
-    __slots__ = ()
-
-    def _absorb(self, *args, **kwargs):
-        pass
-
-    set_fragmentation = set_guard = set_static = set_cache = _absorb
-    set_warehouse = set_warehouse_miss = set_dispatch = set_control = _absorb
-    source_answered = source_refused = source_unavailable = _absorb
-    set_validation = finish = _absorb
-
-    def to_dict(self):
-        return {}
-
-    def refusing_sources(self):
-        return []
-
-    def unavailable_sources(self):
-        return []
-
-    def source_wall_ms(self):
-        return {}
-
-
-NOOP_REPORT = NoopReport()
-
-
 class NoopExplainLog:
     """Explain log used when telemetry is disabled: retains nothing."""
 
     __slots__ = ()
 
-    def begin(self, query, requester, role):
-        return NOOP_REPORT
+    def record(self, query, role, pose, audit, events, root):
+        return None
 
     def last(self, requester=None):
         return None

@@ -25,6 +25,12 @@ from __future__ import annotations
 import json
 import re
 
+from repro.telemetry.redact import scrub_reason
+
+#: Free-text keys whose string values are scrubbed on export, at any
+#: depth, also as a ``_``-suffix (``refusal_reason``).
+SCRUB_KEYS = ("reason", "error", "message", "detail")
+
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 _QUANTILES = (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99"))
@@ -52,7 +58,7 @@ def chrome_trace(roots, pid=1, tid=1):
             if span.start is None:
                 continue
             end = span.end if span.end is not None else span.start
-            args = _json_safe(span.attributes)
+            args = json_safe(span.attributes)
             if getattr(span, "trace_id", None) is not None:
                 # cross-thread correlation key: spans of one pose share
                 # it even when they render in different lanes
@@ -71,15 +77,30 @@ def chrome_trace(roots, pid=1, tid=1):
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
-def _json_safe(attributes):
-    """Attributes coerced to JSON-encodable values (repr as last resort)."""
-    safe = {}
-    for key, value in attributes.items():
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            safe[str(key)] = value
-        else:
-            safe[str(key)] = repr(value)
-    return safe
+def json_safe(value, key=""):
+    """``value`` as plain JSON data, with free text scrubbed.
+
+    Span attributes hold the objects a stage decided (a fragment plan, a
+    static verdict, per-source outcomes): an object exports as its
+    ``to_dict()`` when it has one, else as its ``repr``; containers are
+    walked to any depth.  A string under a :data:`SCRUB_KEYS` key, or
+    inside a container under one, passes through
+    :func:`~repro.telemetry.redact.scrub_reason`.
+    """
+    if isinstance(value, str):
+        if key.rpartition("_")[2] in SCRUB_KEYS:
+            return scrub_reason(value)
+        return str(value)
+    if value is None or isinstance(value, (bool, int, float)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): json_safe(v, str(k)) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [json_safe(item, key) for item in value]
+    to_dict = getattr(value, "to_dict", None)
+    if callable(to_dict):
+        return json_safe(to_dict(), key)
+    return repr(value)
 
 
 # -- Prometheus text exposition ------------------------------------------------

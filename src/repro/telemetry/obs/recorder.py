@@ -12,9 +12,11 @@ one fires:
   :meth:`install_signal_handler`);
 * **bundle** — recent finished spans (with trace ids), the event-log
   tail, a metrics snapshot, SLO status, and the profiler's heaviest
-  collapsed stacks; everything string-valued passes through
-  ``repro.telemetry.redact`` so a bundle shipped off-box discloses no
-  more than the event stream already may (REP010's sink discipline);
+  collapsed stacks; span and event attributes pass through
+  :func:`repro.telemetry.export.json_safe`, which scrubs free text at
+  any depth and renders the objects spans hold as plain data, so a
+  bundle shipped off-box discloses no more than the event stream
+  already may (REP010's sink discipline);
 * **bounds** — at most ``max_bundles`` retained in a ring, at most one
   *auto* dump per ``min_interval_s`` (a breaker flapping open cannot
   turn the recorder into the overload).
@@ -32,13 +34,11 @@ import signal
 import threading
 import time
 
+from repro.telemetry.export import json_safe
 from repro.telemetry.redact import scrub_reason
 
 #: Bundle schema version, bumped when the shape changes.
 BUNDLE_VERSION = 1
-
-#: Attribute keys whose string values are scrubbed before bundling.
-_SCRUB_KEYS = ("reason", "error", "message", "detail")
 
 
 class FlightRecorder:
@@ -172,27 +172,13 @@ class FlightRecorder:
         return bundle
 
     @classmethod
-    def _redact_attributes(cls, attributes):
-        """Scrub free-text attribute values (reason/error/detail keys)."""
-        redacted = dict(attributes)
-        for key in _SCRUB_KEYS:
-            value = redacted.get(key)
-            if isinstance(value, str):
-                redacted[key] = scrub_reason(value)
-        return redacted
-
-    @classmethod
     def _redact_event(cls, event_dict):
-        event_dict["attributes"] = cls._redact_attributes(
-            event_dict["attributes"]
-        )
+        event_dict["attributes"] = json_safe(event_dict["attributes"])
         return event_dict
 
     @classmethod
     def _redact_span(cls, span_dict):
-        span_dict["attributes"] = cls._redact_attributes(
-            span_dict["attributes"]
-        )
+        span_dict["attributes"] = json_safe(span_dict["attributes"])
         span_dict["children"] = [
             cls._redact_span(child) for child in span_dict["children"]
         ]

@@ -5,7 +5,7 @@ attack it through the real ``pose()`` path, and scores the resulting
 :class:`~repro.validation.adversaries.AdversaryView` with the validation
 metrics; ``run_matrix`` repeats that for every adversary × defense
 ablation.  Each run's summary is stamped onto the explain ledger of the
-adversary's last pose (``set_validation``) and emitted as a
+adversary's last pose (its ``validation`` attribute) and emitted as a
 ``validation.scored`` event, so the observatory's exporters see not just
 what was *charged* but what the adversary could actually *measure*.
 
@@ -214,7 +214,7 @@ def run_adversary(adversary, defenses=None, seed=0, starts=2,
             "residual_risk": outcome.residual_risk,
             "cell_disclosure": outcome.cell_disclosure,
         }
-        ledger.set_validation(stamped)
+        ledger.validation = stamped
     # The outcome object keeps exact scores for reports and the matrix;
     # the telemetry *event* generalizes them — a residual-risk score is
     # a statement about the confidential ground truth, and the event log

@@ -7,7 +7,8 @@ from repro.analysis.plancheck import PlanVerdict
 from repro.query.language import parse_piql, to_piql
 from repro.errors import PathError, Refusal
 from repro.relational import Table
-from repro.telemetry import NOOP, NOOP_REPORT, Telemetry, resolve_telemetry
+from repro.telemetry import NOOP, Telemetry, resolve_telemetry
+from repro.telemetry.explain import ExplainReport
 
 POLICIES = """
 VIEW clinic_private {
@@ -117,9 +118,26 @@ class TestAnsweredQueryLedger:
         for _ in range(3):   # the static tier serves poses 2 and 3
             system.query(AGGREGATE, requester="epi")
         first, *rest = system.telemetry.explain.reports()
-        assert len(renders) == 1
+        # read every ledger's section first: reading renders it at most
+        # once per verdict, however many ledgers and reads share it
         assert all(report.static == first.static for report in rest)
+        assert len(renders) == 1
         assert first.query == AGGREGATE
+
+    def test_exported_ledger_shares_no_state(self):
+        system = build_system()
+        system.query(AGGREGATE, requester="epi")
+        exported = system.explain_last().to_dict()
+        exported["static"]["verdict"] = "DOCTORED"
+        exported["sources"]["clinic"]["outcome"] = "DOCTORED"
+        exported["cache"]["epochs"]["policy"] = -1
+        report = system.explain_last()
+        assert report.sources["clinic"]["outcome"] == "answered"
+        assert report.to_dict()["cache"]["epochs"]["policy"] >= 0
+        # the static tier serves the next identical pose the same verdict
+        system.query(AGGREGATE, requester="epi")
+        assert system.explain_last().cache["static"] == "hit"
+        assert system.explain_last().static["verdict"] == "RUNTIME_CHECK"
 
     @pytest.mark.parametrize("conjuncts", [
         ("//patient/city = 'erie'", "//patient/city != 'butler'"),
@@ -210,7 +228,15 @@ class TestRefusedQueryLedger:
 
 
 class TestDisabledTelemetry:
-    def test_noop_mode_accumulates_no_report_state(self):
+    def test_noop_mode_accumulates_no_report_state(self, monkeypatch):
+        built = []
+        original = ExplainReport.__init__
+
+        def init(report, *args):
+            built.append(report)
+            original(report, *args)
+
+        monkeypatch.setattr(ExplainReport, "__init__", init)
         system = build_system(telemetry=False)
         system.query(AGGREGATE, requester="epi")
         with pytest.raises(PrivacyViolation):
@@ -226,8 +252,8 @@ class TestDisabledTelemetry:
         telemetry = system.telemetry
         assert telemetry is NOOP
         assert len(telemetry.explain) == 0
-        # every begin() hands back the same stateless singleton
-        assert telemetry.explain.begin("q", "r", None) is NOOP_REPORT
+        # a telemetry-off pose builds no ledger at all
+        assert built == []
 
     def test_default_is_disabled(self, monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
