@@ -10,6 +10,8 @@ plaintext identifiers.
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import IntegrationError
 from repro.linkage.private import BloomRecordEncoder
 from repro.source.results import untag_results
@@ -94,32 +96,39 @@ class ResultIntegrator:
         return rename
 
     def _private_dedup(self, rows):
-        """Cross-source Bloom dedup on the linkage attributes."""
-        fields = [
+        """Cross-source Bloom dedup on the linkage attributes.
+
+        Each record's Bloom bits come from :func:`_record_bits`, and two
+        records from different sources match when the Dice coefficient
+        of their bits reaches ``dedup_threshold``: the arithmetic of
+        :meth:`~repro.crypto.bloom.BloomFilter.dice_similarity`, on ints.
+        """
+        fields = tuple(
             f for f in self.linkage_attributes
             if any(f in row for row in rows)
-        ]
+        )
         if not fields:
             return rows, 0
-        encoder = BloomRecordEncoder(
-            fields, size=512, num_hashes=4, secret=self.bloom_secret
-        )
         kept = []
-        kept_blooms = []
+        kept_bits = []
         removed = 0
         for row in rows:
-            bloom = encoder.encode(row)
+            bits, count = _record_bits(fields, self.bloom_secret, tuple(
+                str(row.get(field, "") or "") for field in fields
+            ))
             duplicate_of = None
-            for index, existing in enumerate(kept_blooms):
-                if (
-                    kept[index]["_source"] != row["_source"]
-                    and existing.dice_similarity(bloom) >= self.dedup_threshold
-                ):
+            for index, (existing, existing_count) in enumerate(kept_bits):
+                if kept[index]["_source"] == row["_source"]:
+                    continue
+                total = existing_count + count
+                similarity = (1.0 if total == 0
+                              else 2.0 * (existing & bits).bit_count() / total)
+                if similarity >= self.dedup_threshold:
                     duplicate_of = index
                     break
             if duplicate_of is None:
                 kept.append(dict(row))
-                kept_blooms.append(bloom)
+                kept_bits.append((bits, count))
             else:
                 removed += 1
                 merged = kept[duplicate_of]
@@ -129,3 +138,20 @@ class ResultIntegrator:
                     elif merged.get(key) in (None, "") and value not in (None, ""):
                         merged[key] = value
         return kept, removed
+
+
+# functools rather than repro.cache, like ``crypto.bloom._bloom_mask``: a
+# record's bits depend on nothing but the key, so no epoch can invalidate
+# them.  The key is what ``BloomRecordEncoder.encode`` reads — the fields,
+# the secret and the ``str()`` of each value — so ``1``, ``1.0`` and
+# ``True`` are distinct keys, and integrators with different secrets
+# never share an entry.  2048 records hold every patient of the four-HMO
+# deployment (880).  The memo holds whole linkage values in process
+# memory only: nothing serializes it and no telemetry reads it.
+@functools.lru_cache(maxsize=2048)
+def _record_bits(fields, secret, texts):
+    """``(bits, popcount)`` of the record whose linkage values are ``texts``."""
+    bits = BloomRecordEncoder(
+        fields, size=512, num_hashes=4, secret=secret
+    ).encode(dict(zip(fields, texts))).bits
+    return bits, bits.bit_count()

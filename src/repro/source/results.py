@@ -19,7 +19,9 @@ def tag_results(result_table, source_name, column_forms, privacy_loss,
     """Build the tagged XML result document.
 
     ``generalizers`` maps column → callable(value) → range label, used for
-    RANGE-form columns (e.g. an interval hierarchy level).
+    RANGE-form columns (e.g. an interval hierarchy level).  Each column's
+    tag, form and generalizer are looked up once per result; the cells
+    are built straight from the row tuples.
     """
     if not 0.0 <= privacy_loss <= 1.0:
         raise ReproError("privacy loss must be in [0, 1]")
@@ -32,25 +34,30 @@ def tag_results(result_table, source_name, column_forms, privacy_loss,
     for technique in techniques:
         techniques_node.append(element("technique", technique.name))
     forms_node = meta.append(Element("forms"))
+    columns = []
     for column in result_table.schema.column_names():
         form = column_forms.get(column, DisclosureForm.EXACT)
         forms_node.append(
             element("column", None, name=column, form=form.name.lower())
         )
+        generalize = (generalizers.get(column)
+                      if form is DisclosureForm.RANGE else None)
+        columns.append((_safe_tag(column), generalize))
 
     rows_node = root.append(Element("rows"))
-    for row in result_table.rows_as_dicts():
+    for row in result_table.rows:
         row_node = rows_node.append(Element("row"))
-        for column, value in row.items():
-            form = column_forms.get(column, DisclosureForm.EXACT)
-            if form is DisclosureForm.RANGE and column in generalizers:
-                value = generalizers[column](value)
+        cells = row_node.children
+        for (tag, generalize), value in zip(columns, row):
+            if generalize is not None:
+                value = generalize(value)
+            cell = Element(tag)
             if value is None:
-                row_node.append(Element(_safe_tag(column), {"null": "true"}))
+                cell.attrs["null"] = "true"
             else:
-                cell = element(_safe_tag(column), value)
-                cell.set("type", _type_name(value))
-                row_node.append(cell)
+                cell.children.append(str(value))
+                cell.attrs["type"] = _type_name(value)
+            cells.append(cell)
     return root
 
 
@@ -80,13 +87,18 @@ def untag_results(root):
 
     rows = []
     rows_node = root.find("rows")
-    for row_node in rows_node.find_all("row") if rows_node is not None else []:
+    for row_node in rows_node.children if rows_node is not None else ():
+        if not isinstance(row_node, Element) or row_node.tag != "row":
+            continue
         row = {}
-        for cell in row_node.child_elements():
-            if cell.get("null") == "true":
+        for cell in row_node.children:
+            if not isinstance(cell, Element):
+                continue
+            attrs = cell.attrs
+            if attrs.get("null") == "true":
                 row[cell.tag] = None
             else:
-                row[cell.tag] = _parse_value(cell.text, cell.get("type"))
+                row[cell.tag] = _parse_value(cell.text, attrs.get("type"))
         rows.append(row)
     return source, rows, {"loss": loss, "techniques": techniques, "forms": forms}
 

@@ -34,6 +34,7 @@ shared registry.  All of it is no-op by default (:mod:`repro.telemetry`).
 
 from __future__ import annotations
 
+import functools
 from copy import copy
 from dataclasses import dataclass
 
@@ -58,6 +59,17 @@ from repro.telemetry import resolve_telemetry
 from repro.xmlkit.loose import normalize_name
 
 _IDENTIFIER_COLUMNS = ("id", "ssn", "name", "first", "last")
+
+
+@functools.lru_cache(maxsize=256)
+def _identifier_columns(names):
+    """The columns of ``names`` (a tuple) that pseudonymization hashes.
+
+    A pure function of the column names, so it runs once per result
+    schema rather than once per answer.
+    """
+    return tuple(name for name in names
+                 if normalize_name(name).endswith(_IDENTIFIER_COLUMNS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -486,11 +498,7 @@ class RemoteSource:
 
     def _pseudonymize(self, result):
         names = result.schema.column_names()
-        identifier_columns = [
-            n for n in names
-            if any(normalize_name(n) == h or normalize_name(n).endswith(h)
-                   for h in _IDENTIFIER_COLUMNS)
-        ]
+        identifier_columns = _identifier_columns(tuple(names))
         if not identifier_columns:
             return result
         rows = []

@@ -172,18 +172,20 @@ class ExplainReport:
 
     @property
     def warehouse(self):
-        """The answer tier's leg; a refusal after the guard (a failed
-        recomputation or a static REFUSE) shows as a miss."""
+        """The answer tier's leg; a recomputation that refused shows as a
+        miss.  A pose refused before the answer tier (by the guard, RBAC
+        or a static REFUSE) has no leg, as its ``cache.answer`` is
+        ``off``."""
         mode = self._root.attributes.get("warehouse")
         leg = self._stage("warehouse")
-        if leg is not None and "from_cache" in leg:
+        if mode is None or leg is None:
+            return None
+        if "from_cache" in leg:
             hit = leg["from_cache"]
             return {"mode": mode, "from_cache": bool(hit),
                     "origin": hit or "sources",
                     "source_calls": leg["source_calls"],
                     "staleness": leg["staleness"]}
-        if mode is None or (leg is None and not self._refused_statically()):
-            return None
         return {"mode": mode, "from_cache": False, "origin": "sources",
                 "source_calls": None, "staleness": None}
 

@@ -10,6 +10,7 @@ construction, navigation, deep copies, and structural equality.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 from repro.errors import XmlError
@@ -167,7 +168,16 @@ def _normalized_children(node):
 
 
 def _is_name(name):
-    if not isinstance(name, str) or not name:
+    return isinstance(name, str) and _is_valid_name(name)
+
+
+# A result document repeats its few column tags in every row, so each
+# distinct name is checked one character at a time once, not once per
+# cell.  The answer depends on nothing but the characters, so no state
+# can invalidate an entry; an invalid name is remembered as invalid.
+@functools.lru_cache(maxsize=4096)
+def _is_valid_name(name):
+    if not name:
         return False
     head = name[0]
     if not (head.isalpha() or head == "_"):

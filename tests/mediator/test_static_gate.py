@@ -144,7 +144,9 @@ class TestGateLedger:
         assert report.refusing_sources() == ["clinic", "lab"]
         assert report.sources["clinic"]["kind"] == "PrivacyViolation"
         assert report.sources["clinic"]["static"] is True
-        assert report.warehouse["from_cache"] is False
+        # the answer tier was never reached
+        assert report.cache["answer"] == "off"
+        assert report.warehouse is None
 
     def test_runtime_check_verdict_recorded(self):
         system = build_system(telemetry=True)

@@ -176,7 +176,10 @@ class TestRefusedQueryLedger:
         assert report.refusing_sources() == ["clinic", "lab"]
         assert report.sources["clinic"]["kind"] == "PrivacyViolation"
         assert "clinic" in report.sources["clinic"]["reason"]
-        assert report.warehouse["from_cache"] is False
+        # refused statically, before the answer tier: no warehouse leg
+        assert report.static["verdict"] == "REFUSE"
+        assert report.cache["answer"] == "off"
+        assert report.warehouse is None
 
     def test_guard_refusal_records_verdict_and_reason(self):
         system = build_system()

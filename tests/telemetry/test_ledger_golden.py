@@ -10,8 +10,11 @@ unreachable under ``require_all`` and under ``quorum``, and a
 ``pose_many`` batch.  ``golden/ledgers.json`` holds the
 ``to_dict()`` of each ledger as the engine wrote it by hand
 (commit fec2c71), before the ledger became a projection of the pose
-record and its span tree.  The ledgers of the current tree must match
-it exactly once the fields below are normalized.
+record and its span tree, with one intended change since: a statically
+refused pose (step ``static-refuse`` and the batch's third pose) has no
+``warehouse`` leg, since it never reached the answer tier.  The
+ledgers of the current tree must match it exactly once the fields
+below are normalized.
 
 Regenerate the golden file only for an intended ledger change::
 
